@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .detectors import DetectorParams, ScoreVector, score_all
+from .detectors import SCORE_NAMES, DetectorParams, ScoreVector, score_all
 from .errors import InvalidConfig
 from .signal import Series, minmax_normalize
 
@@ -83,12 +83,7 @@ CONSTANT_EXCLUDES = frozenset({
 
 #: Score names a rule may reference: the detector outputs plus the signed
 #: curvature alias (sign times gap) used by the Convex/Concave pair.
-RULE_SCORE_NAMES = frozenset({
-    "trend", "constancy", "curvature", "curvature_sign", "linearity_mse",
-    "smooth_mse", "noise_mse", "complexity", "spike_pos", "spike_neg",
-    "periodicity_gap", "symmetry_err", "step_response", "amplitude_var",
-    "curvature_signed",
-})
+RULE_SCORE_NAMES = frozenset(SCORE_NAMES) | {"curvature_signed"}
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ class ClassRule:
     cutoff: float
 
     def __post_init__(self):
-        if self.score not in RULE_SCORE_NAMES:
+        if not isinstance(self.score, str) or self.score not in RULE_SCORE_NAMES:
             raise InvalidConfig(f"rule references unknown score {self.score!r}")
         if self.direction not in ("greater", "less"):
             raise InvalidConfig(
@@ -216,14 +211,15 @@ def load_config(path: str | Path | None = None) -> ThresholdConfig:
         unknown = set(body) - {"score", "direction", "cutoff"}
         if unknown:
             raise InvalidConfig(f"rule for {name} has unknown keys: {sorted(unknown)}")
+        missing = sorted({"score", "direction", "cutoff"} - set(body))
+        if missing:
+            raise InvalidConfig(f"rule for {name} missing key {missing[0]!r}")
         try:
-            rules[cls] = ClassRule(
-                score=body["score"],
-                direction=body["direction"],
-                cutoff=float(body["cutoff"]),
-            )
-        except KeyError as exc:
-            raise InvalidConfig(f"rule for {name} missing key {exc}") from exc
+            cutoff = float(body["cutoff"])
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(
+                f"rule for {name} has a non-numeric cutoff {body['cutoff']!r}") from exc
+        rules[cls] = ClassRule(score=body["score"], direction=body["direction"], cutoff=cutoff)
     return ThresholdConfig(rules=rules)
 
 

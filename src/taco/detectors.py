@@ -13,7 +13,8 @@ affine maps of the raw signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +33,10 @@ from .signal import (
 #: Sentinel for "no period found": tiling cannot explain the signal at all,
 #: so the periodicity gap is driven to +inf and the Aperiodic rule fires.
 NO_PERIOD = math.inf
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -53,22 +58,21 @@ class DetectorParams:
     step_kernel_fracs: tuple = (0.125, 0.25, 0.5)
 
     def __post_init__(self):
-        if self.k_segments < 2:
-            raise InvalidArgument(f"k_segments must be >= 2, got {self.k_segments}")
-        if self.spike_sigma <= 0:
-            raise InvalidArgument(f"spike_sigma must be > 0, got {self.spike_sigma}")
-        for name in ("ma_window_frac", "median_window_frac", "symmetry_pad_step_frac"):
-            frac = getattr(self, name)
-            if not 0.0 < frac <= 1.0:
-                raise InvalidArgument(f"{name} must be in (0, 1], got {frac}")
-        fracs = tuple(self.step_kernel_fracs)
-        object.__setattr__(self, "step_kernel_fracs", fracs)
-        for frac in fracs:
-            if not 0.0 < frac <= 1.0:
-                raise InvalidArgument(
-                    f"step_kernel_fracs entries must be in (0, 1], got {frac}")
-        if not fracs:
-            raise InvalidArgument("step_kernel_fracs must not be empty")
+        k = self.k_segments
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 2:
+            raise InvalidArgument(f"k_segments must be an integer >= 2, got {k!r}")
+        sigma = self.spike_sigma
+        if not _is_real(sigma) or not 0.0 < sigma < math.inf:
+            raise InvalidArgument(f"spike_sigma must be a finite number > 0, got {sigma!r}")
+        fracs = self.step_kernel_fracs
+        if not isinstance(fracs, (list, tuple)) or not fracs:
+            raise InvalidArgument(f"step_kernel_fracs must be a non-empty list, got {fracs!r}")
+        object.__setattr__(self, "step_kernel_fracs", tuple(fracs))
+        named = [(name, getattr(self, name)) for name in
+                 ("ma_window_frac", "median_window_frac", "symmetry_pad_step_frac")]
+        for name, frac in named + [("step_kernel_fracs entries", f) for f in fracs]:
+            if not _is_real(frac) or not 0.0 < frac <= 1.0:
+                raise InvalidArgument(f"{name} must be a number in (0, 1], got {frac!r}")
 
     def effective_segments(self, n: int) -> int:
         """Segment count for an n-sample sequence, keeping >= 2 samples each."""
@@ -109,33 +113,12 @@ class DetectorParams:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DetectorParams":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise InvalidArgument("detector parameters must be a JSON object")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidArgument(f"unknown detector parameters: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "step_kernel_fracs" in kwargs:
-            kwargs["step_kernel_fracs"] = tuple(kwargs["step_kernel_fracs"])
-        return cls(**kwargs)
-
-
-#: Canonical score names, in the order they appear in serialized records.
-SCORE_NAMES = (
-    "trend",
-    "constancy",
-    "curvature",
-    "curvature_sign",
-    "linearity_mse",
-    "smooth_mse",
-    "noise_mse",
-    "complexity",
-    "spike_pos",
-    "spike_neg",
-    "periodicity_gap",
-    "symmetry_err",
-    "step_response",
-    "amplitude_var",
-)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -177,6 +160,10 @@ class ScoreVector:
         return values
 
 
+#: Canonical score names, in the order they appear in serialized records.
+SCORE_NAMES = tuple(f.name for f in fields(ScoreVector) if f.name != "degenerate")
+
+
 #: Scores reported for a constant input: fits and tilings are bypassed, the
 #: periodicity gap carries the no-period sentinel, everything else is zero.
 DEGENERATE_SCORES = ScoreVector(
@@ -198,25 +185,20 @@ DEGENERATE_SCORES = ScoreVector(
 )
 
 
-def _values_nondegenerate(s) -> np.ndarray:
-    if isinstance(s, NormalizedSeries) and s.degenerate:
-        raise Degenerate("score undefined on a constant signal")
-    v = signal_values(s)
-    if np.ptp(v) == 0.0:
-        raise Degenerate("score undefined on a constant signal")
-    return v
+def _is_constant(s, v: np.ndarray) -> bool:
+    return (isinstance(s, NormalizedSeries) and s.degenerate) or np.ptp(v) == 0.0
 
 
-def _mean_pairwise_w1(v: np.ndarray, k: int) -> float:
-    """Mean W1 distance over all unordered pairs of equal-length segments."""
-    segs = [np.sort(g) for g in segment(v, k)]
-    total = 0.0
-    pairs = 0
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            total += float(np.abs(segs[i] - segs[j]).mean())
-            pairs += 1
-    return total / pairs
+def _mean_pairwise_w1(segs: np.ndarray) -> float:
+    """Mean W1 distance over all unordered pairs of rows of a ``(k, m)`` view."""
+    ranked = np.sort(segs, axis=1)
+    i, j = np.triu_indices(len(ranked), 1)
+    # Summed left to right, one pair at a time.
+    return sum(np.abs(ranked[i] - ranked[j]).mean(axis=1).tolist()) / i.size
+
+
+def _segments(v: np.ndarray, p: DetectorParams) -> np.ndarray:
+    return segment(v, p.effective_segments(v.size))
 
 
 def score_trend(s) -> float:
@@ -225,7 +207,9 @@ def score_trend(s) -> float:
     +1 for a perfect rise, -1 for a perfect fall, near 0 when there is no
     monotone drift.
     """
-    v = _values_nondegenerate(s)
+    v = signal_values(s)
+    if _is_constant(s, v):
+        raise Degenerate("score undefined on a constant signal")
     t = np.linspace(0.0, 1.0, v.size)
     return float(np.clip(np.corrcoef(t, v)[0, 1], -1.0, 1.0))
 
@@ -236,8 +220,12 @@ def score_constancy(s, p: DetectorParams) -> float:
     Near zero when every stretch of the signal looks the same
     (distribution-stationary), large when the level wanders.
     """
-    v = signal_values(s)
-    return _mean_pairwise_w1(v, p.effective_segments(v.size))
+    return _mean_pairwise_w1(_segments(signal_values(s), p))
+
+
+def _curvature(fit1: tuple, fit2: tuple) -> tuple[float, int]:
+    (_, mse1), (coeffs2, mse2) = fit1, fit2
+    return max(0.0, mse1 - mse2), int(np.sign(coeffs2[0]))
 
 
 def score_curvature(s) -> tuple[float, int]:
@@ -247,10 +235,7 @@ def score_curvature(s) -> tuple[float, int]:
     model nesting) and sign is the sign of the fitted quadratic coefficient:
     +1 opens upward (convex), -1 downward (concave).
     """
-    coeffs1, mse1 = polyfit(s, 1)
-    coeffs2, mse2 = polyfit(s, 2)
-    gap = max(0.0, mse1 - mse2)
-    return gap, int(np.sign(coeffs2[0]))
+    return _curvature(polyfit(s, 1), polyfit(s, 2))
 
 
 def score_linearity(s) -> float:
@@ -270,6 +255,11 @@ def score_smooth(s, p: DetectorParams) -> float:
     return float(np.mean((smoothed - v) ** 2))
 
 
+def _noise(v: np.ndarray, filtered: np.ndarray, w: int) -> float:
+    suppressed = median_filter(np.abs(v - filtered), w)
+    return float(np.mean(suppressed ** 2))
+
+
 def score_noise(s, p: DetectorParams) -> float:
     """Mean squared spike-suppressed residual around the median-filtered signal.
 
@@ -279,9 +269,7 @@ def score_noise(s, p: DetectorParams) -> float:
     """
     v = signal_values(s)
     w = p.median_window(v.size)
-    residual = v - median_filter(v, w)
-    suppressed = median_filter(np.abs(residual), w)
-    return float(np.mean(suppressed ** 2))
+    return _noise(v, median_filter(v, w), w)
 
 
 def score_complexity(s, p: DetectorParams) -> float:
@@ -290,9 +278,18 @@ def score_complexity(s, p: DetectorParams) -> float:
     A signal whose local increments keep the same distribution everywhere
     (straight line, steady wave) scores low; erratic signals score high.
     """
-    v = signal_values(s)
-    d = np.diff(v)
-    return _mean_pairwise_w1(d, p.effective_segments(d.size))
+    return _mean_pairwise_w1(_segments(np.diff(signal_values(s)), p))
+
+
+def _spikes(segs: np.ndarray, filtered: np.ndarray, p: DetectorParams,
+            direction: str) -> float:
+    offset = p.spike_sigma * float(filtered.std())
+    med = np.median(segs, axis=1)
+    if direction == "up":
+        excursions = segs.max(axis=1) - (med + offset)
+    else:
+        excursions = (med - offset) - segs.min(axis=1)
+    return float(excursions.max())
 
 
 def score_spikes(s, p: DetectorParams, direction: str) -> float:
@@ -306,17 +303,8 @@ def score_spikes(s, p: DetectorParams, direction: str) -> float:
     if direction not in ("up", "down"):
         raise InvalidArgument(f"direction must be 'up' or 'down', got {direction!r}")
     v = signal_values(s)
-    sigma = float(median_filter(v, p.median_window(v.size)).std())
-    offset = p.spike_sigma * sigma
-    best = -math.inf
-    for seg in segment(v, p.effective_segments(v.size)):
-        med = float(np.median(seg))
-        if direction == "up":
-            excursion = float(seg.max()) - (med + offset)
-        else:
-            excursion = (med - offset) - float(seg.min())
-        best = max(best, excursion)
-    return best
+    return _spikes(_segments(v, p), median_filter(v, p.median_window(v.size)), p,
+                   direction)
 
 
 def _find_cycle_lag(r: np.ndarray) -> int | None:
@@ -337,6 +325,15 @@ def _find_cycle_lag(r: np.ndarray) -> int | None:
     return int(candidates[np.argmax(r[candidates])])
 
 
+def _periodicity(v: np.ndarray, r: np.ndarray, e_linear: float) -> float:
+    lag = _find_cycle_lag(r)
+    if lag is None:
+        return NO_PERIOD
+    reps = -(-v.size // lag)
+    reconstruction = np.tile(v[:lag], reps)[:v.size]
+    return float(np.mean((reconstruction - v) ** 2)) - e_linear
+
+
 def score_periodicity(s, p: DetectorParams) -> float:
     """Tiling error of the best candidate cycle minus the linear-fit error.
 
@@ -346,16 +343,7 @@ def score_periodicity(s, p: DetectorParams) -> float:
     signal better than a straight line (periodic); positive means it does
     not; +inf (:data:`NO_PERIOD`) when no candidate cycle exists.
     """
-    r = autocorrelation(s)
-    lag = _find_cycle_lag(r)
-    if lag is None:
-        return NO_PERIOD
-    v = signal_values(s)
-    reps = -(-v.size // lag)
-    reconstruction = np.tile(v[:lag], reps)[:v.size]
-    e_periodic = float(np.mean((reconstruction - v) ** 2))
-    e_linear = score_linearity(s)
-    return e_periodic - e_linear
+    return _periodicity(signal_values(s), autocorrelation(s), score_linearity(s))
 
 
 def score_symmetry(s, p: DetectorParams) -> float:
@@ -403,15 +391,20 @@ def score_step(s, p: DetectorParams) -> float:
     return best
 
 
+def _amplitude(segs: np.ndarray) -> float:
+    return float(segs.var(axis=1).max())
+
+
 def score_amplitude(s, p: DetectorParams) -> float:
     """Maximum per-segment population variance of the values."""
-    v = signal_values(s)
-    return max(float(seg.var()) for seg in segment(v, p.effective_segments(v.size)))
+    return _amplitude(_segments(signal_values(s), p))
 
 
 def score_all(s: NormalizedSeries, p: DetectorParams | None = None) -> ScoreVector:
     """Run every detector once and collect the scores.
 
+    The work several families share (the two polynomial fits, the median
+    filter, the segmentation and the autocorrelation) is done once per call.
     A degenerate (constant) input bypasses the fit- and correlation-based
     detectors and returns the documented sentinel vector.
     """
@@ -421,23 +414,27 @@ def score_all(s: NormalizedSeries, p: DetectorParams | None = None) -> ScoreVect
     if v.size < MIN_SERIES_LEN:
         raise TooShort(
             f"signal has {v.size} samples, need at least {MIN_SERIES_LEN}")
-    if (isinstance(s, NormalizedSeries) and s.degenerate) or np.ptp(v) == 0.0:
+    if _is_constant(s, v):
         return DEGENERATE_SCORES
-    curvature, curvature_sign = score_curvature(s)
+    fit1 = polyfit(v, 1)
+    w = p.median_window(v.size)
+    filtered = median_filter(v, w)
+    segs = _segments(v, p)
+    curvature, curvature_sign = _curvature(fit1, polyfit(v, 2))
     return ScoreVector(
-        trend=score_trend(s),
-        constancy=score_constancy(s, p),
+        trend=score_trend(v),
+        constancy=_mean_pairwise_w1(segs),
         curvature=curvature,
         curvature_sign=curvature_sign,
-        linearity_mse=score_linearity(s),
-        smooth_mse=score_smooth(s, p),
-        noise_mse=score_noise(s, p),
-        complexity=score_complexity(s, p),
-        spike_pos=score_spikes(s, p, "up"),
-        spike_neg=score_spikes(s, p, "down"),
-        periodicity_gap=score_periodicity(s, p),
-        symmetry_err=score_symmetry(s, p),
-        step_response=score_step(s, p),
-        amplitude_var=score_amplitude(s, p),
+        linearity_mse=fit1[1],
+        smooth_mse=score_smooth(v, p),
+        noise_mse=_noise(v, filtered, w),
+        complexity=score_complexity(v, p),
+        spike_pos=_spikes(segs, filtered, p, "up"),
+        spike_neg=_spikes(segs, filtered, p, "down"),
+        periodicity_gap=_periodicity(v, autocorrelation(v), fit1[1]),
+        symmetry_err=score_symmetry(v, p),
+        step_response=score_step(v, p),
+        amplitude_var=_amplitude(segs),
         degenerate=False,
     )

@@ -157,8 +157,8 @@ class TrainIndex:
 def load_index(path) -> TrainIndex:
     """Load a training JSONL file into a retrieval index.
 
-    Every record must carry a values vector; all vectors must share one
-    length.
+    Every record must carry a values vector of finite numbers; all vectors
+    must share one length.
     """
     records = read_jsonl(path)
     ids = []
@@ -175,7 +175,12 @@ def load_index(path) -> TrainIndex:
     lengths = {row.size for row in rows}
     if len(lengths) != 1:
         raise ParseError(f"{path}: value vectors have mixed lengths {sorted(lengths)}")
-    return TrainIndex(ids=ids, matrix=np.vstack(rows), captions=captions)
+    matrix = np.vstack(rows)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        bad = ids[int(np.argmin(finite.all(axis=1)))]
+        raise ParseError(f"{path}: record {bad!r} has null or non-finite values")
+    return TrainIndex(ids=ids, matrix=matrix, captions=captions)
 
 
 def nearnbr_caption(query, index: TrainIndex) -> tuple[str, str, float]:

@@ -8,7 +8,7 @@ per-point means so that one threshold works across series lengths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,20 +79,6 @@ class NormalizedSeries:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class Segmentation:
-    """K contiguous equal-length slices covering a prefix of a signal."""
-
-    segments: list = field(default_factory=list)
-    k: int = 0
-
-    def __iter__(self):
-        return iter(self.segments)
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-
 def minmax_normalize(s) -> NormalizedSeries:
     """Rescale a signal to [0, 1] via min-max scaling.
 
@@ -127,12 +113,13 @@ def resample_linear(s, target_len: int) -> np.ndarray:
     return np.interp(dst, src, v)
 
 
-def segment(s, k: int) -> Segmentation:
+def segment(s, k: int) -> np.ndarray:
     """Split a signal into ``k`` equal-length contiguous slices.
 
-    Slice length is ``floor(n / k)``; remainder samples at the tail are
-    dropped so every slice has the same size (which keeps the sorted-sample
-    Wasserstein form exact).
+    Returns a ``(k, m)`` view whose rows are the slices, so per-segment
+    statistics are axis-1 reductions.  Slice length ``m`` is ``floor(n / k)``;
+    remainder samples at the tail are dropped so every slice has the same
+    size (which keeps the sorted-sample Wasserstein form exact).
     """
     v = signal_values(s)
     if k < 1:
@@ -142,8 +129,7 @@ def segment(s, k: int) -> Segmentation:
         raise TooShort(
             f"{v.size} samples split into {k} segments leaves {m} per segment,"
             " need at least 2")
-    segs = [v[i * m:(i + 1) * m] for i in range(k)]
-    return Segmentation(segments=segs, k=k)
+    return v[:k * m].reshape(k, m)
 
 
 def wasserstein1(a, b) -> float:
@@ -200,7 +186,7 @@ def median_filter(s, window: int) -> np.ndarray:
     half = window // 2
     padded = np.pad(v, half, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, window)
-    return np.median(windows, axis=1)
+    return np.partition(windows, half, axis=1)[:, half]
 
 
 def moving_average(s, window: int) -> np.ndarray:
@@ -223,7 +209,9 @@ def autocorrelation(s: NormalizedSeries) -> np.ndarray:
     """Normalized autocorrelation of the mean-removed signal.
 
     Returns ``r[0..n//2]`` with ``r[0] == 1``.  Undefined (raises
-    :class:`Degenerate`) when the signal has zero variance.
+    :class:`Degenerate`) when the signal has zero variance.  Computed by
+    Wiener-Khinchin: the inverse FFT of the power spectrum, zero-padded to
+    ``2n`` so no lag wraps around.
     """
     if isinstance(s, NormalizedSeries) and s.degenerate:
         raise Degenerate("autocorrelation undefined on a constant signal")
@@ -233,8 +221,6 @@ def autocorrelation(s: NormalizedSeries) -> np.ndarray:
     if denom <= 0.0:
         raise Degenerate("autocorrelation undefined on a constant signal")
     n = x.size
-    max_lag = n // 2
-    r = np.empty(max_lag + 1)
-    for lag in range(max_lag + 1):
-        r[lag] = np.dot(x[:n - lag], x[lag:]) / denom
-    return r
+    spectrum = np.fft.rfft(x, 2 * n)
+    power = spectrum.real ** 2 + spectrum.imag ** 2
+    return np.fft.irfft(power, 2 * n)[:n // 2 + 1] / denom

@@ -40,6 +40,15 @@ def median_filter_oracle(values, window):
     return out
 
 
+def autocorrelation_oracle(values):
+    """Normalized autocorrelation r[0..n//2], one dot product per lag."""
+    x = np.asarray(values, dtype=float)
+    x = x - x.mean()
+    denom = float(np.dot(x, x))
+    n = x.size
+    return np.array([np.dot(x[:n - lag], x[lag:]) / denom for lag in range(n // 2 + 1)])
+
+
 def pearson_oracle(x, y):
     """Correlation from the raw sum formula."""
     x = np.asarray(x, dtype=float)

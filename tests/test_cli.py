@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from taco.annotator import default_config
 from taco.cli import EXIT_DATA, EXIT_OK, EXIT_SERVICE, EXIT_USAGE, main
 from taco.pipeline import read_jsonl, write_jsonl
 
@@ -188,3 +189,47 @@ def test_eval_report_to_file(tmp_path):
     assert main(["eval", "--candidates", str(c), "--references", str(c),
                  "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["sample_count"] == 1
+
+
+def _index_with_null(tmp_path):
+    rows = [{"id": f"t{i}", "caption_base": f"cap {i}", "values": [float(i)] * 16}
+            for i in range(3)]
+    rows[1]["values"][5] = None
+    write_jsonl(rows, tmp_path / "train.jsonl")
+    write_jsonl([{"id": "q0", "caption_base": "", "values": [1.0] * 16}],
+                tmp_path / "q.jsonl")
+    return ["nearnbr", "--index", str(tmp_path / "train.jsonl"),
+            "--queries", str(tmp_path / "q.jsonl")]
+
+
+def _dataset_with(flag, body):
+    def build(tmp_path):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(body))
+        csv_path = tmp_path / "ramp.csv"
+        csv_path.write_text("v\n" + "\n".join(str(i) for i in range(300)) + "\n")
+        return ["dataset", "--input", str(csv_path), flag, str(path)]
+    return build
+
+
+def _rising_cutoff(cutoff):
+    body = default_config().to_json_dict()
+    body["Rising"]["cutoff"] = cutoff
+    return body
+
+
+@pytest.mark.parametrize("build", [
+    _dataset_with("--params", {"k_segments": "10"}),
+    _dataset_with("--params", {"spike_sigma": None}),
+    _dataset_with("--config", _rising_cutoff("abc")),
+    _dataset_with("--config", _rising_cutoff(None)),
+    _index_with_null,
+], ids=["params-k-segments-string", "params-spike-sigma-null", "config-cutoff-string",
+        "config-cutoff-null", "nearnbr-null-value"])
+def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    assert main(build(tmp_path) + ["--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()

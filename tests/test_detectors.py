@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from taco.annotator import assign_classes, default_config
 from taco.detectors import (
     DEGENERATE_SCORES,
     NO_PERIOD,
     DetectorParams,
+    ScoreVector,
     score_all,
     score_amplitude,
     score_constancy,
@@ -378,24 +380,46 @@ def test_score_all_degenerate_sentinels():
     assert scores.periodicity_gap == NO_PERIOD
 
 
+def _mixed_corpus():
+    yield np.random.default_rng(48).uniform(size=512)
+    rng = np.random.default_rng(51)
+    for n in (16, 17, 64, 300, 2048, 2049):
+        t = grid(n)
+        yield rng.normal(size=n)
+        yield np.sin(2 * np.pi * rng.uniform(1, 12) * t) + 0.1 * rng.normal(size=n)
+        yield np.cumsum(rng.normal(size=n))
+        yield (t > rng.uniform(0.2, 0.8)) + 0.01 * rng.normal(size=n)
+        spiky = 0.05 * rng.normal(size=n)
+        spiky[rng.integers(0, n, 3)] += rng.choice([-1.0, 1.0], 3)
+        yield spiky
+        yield (t - 0.5) ** 2
+        yield np.round(rng.uniform(size=n) * 3)
+
+
 def test_score_all_equals_individual_calls():
-    rng = np.random.default_rng(48)
-    s = norm(rng.uniform(size=512))
-    scores = score_all(s, PARAMS)
-    assert scores.trend == score_trend(s)
-    assert scores.constancy == score_constancy(s, PARAMS)
-    gap, sign = score_curvature(s)
-    assert scores.curvature == gap and scores.curvature_sign == sign
-    assert scores.linearity_mse == score_linearity(s)
-    assert scores.smooth_mse == score_smooth(s, PARAMS)
-    assert scores.noise_mse == score_noise(s, PARAMS)
-    assert scores.complexity == score_complexity(s, PARAMS)
-    assert scores.spike_pos == score_spikes(s, PARAMS, "up")
-    assert scores.spike_neg == score_spikes(s, PARAMS, "down")
-    assert scores.periodicity_gap == score_periodicity(s, PARAMS)
-    assert scores.symmetry_err == score_symmetry(s, PARAMS)
-    assert scores.step_response == score_step(s, PARAMS)
-    assert scores.amplitude_var == score_amplitude(s, PARAMS)
+    cfg = default_config()
+    for values in _mixed_corpus():
+        s = norm(values)
+        scores = score_all(s, PARAMS)
+        gap, sign = score_curvature(s)
+        individual = ScoreVector(
+            trend=score_trend(s),
+            constancy=score_constancy(s, PARAMS),
+            curvature=gap,
+            curvature_sign=sign,
+            linearity_mse=score_linearity(s),
+            smooth_mse=score_smooth(s, PARAMS),
+            noise_mse=score_noise(s, PARAMS),
+            complexity=score_complexity(s, PARAMS),
+            spike_pos=score_spikes(s, PARAMS, "up"),
+            spike_neg=score_spikes(s, PARAMS, "down"),
+            periodicity_gap=score_periodicity(s, PARAMS),
+            symmetry_err=score_symmetry(s, PARAMS),
+            step_response=score_step(s, PARAMS),
+            amplitude_var=score_amplitude(s, PARAMS),
+        )
+        assert scores == individual, values.size
+        assert assign_classes(scores, cfg) == assign_classes(individual, cfg)
 
 
 def test_reversal_invariant_scores():

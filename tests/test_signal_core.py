@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from taco.detectors import DetectorParams, _find_cycle_lag
 from taco.errors import Degenerate, InvalidArgument, InvalidSignal, TooShort
 from taco.signal import (
     MIN_SERIES_LEN,
@@ -20,6 +21,7 @@ from taco.signal import (
 
 
 from oracles import (
+    autocorrelation_oracle,
     linear_fit_mse_oracle,
     median_filter_oracle,
     quadratic_fit_mse_oracle,
@@ -113,7 +115,7 @@ def test_segment_drops_remainder():
     segs = segment(np.arange(2048.0), 10)
     assert len(segs) == 10
     assert all(len(g) == 204 for g in segs)
-    assert segs.segments[-1][-1] == 2039.0
+    assert segs[-1][-1] == 2039.0
 
 
 def test_segment_exact_split():
@@ -234,6 +236,15 @@ def test_median_filter_matches_oracle():
             median_filter_oracle(v, w), abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [
+    MIN_SERIES_LEN, MIN_SERIES_LEN + 1, MIN_SERIES_LEN + 2, MIN_SERIES_LEN + 3, 2048])
+def test_median_filter_matches_oracle_at_detector_window(n):
+    w = DetectorParams().median_window(n)
+    rng = np.random.default_rng(n)
+    for v in (rng.uniform(size=n), np.round(rng.uniform(size=n) * 3)):
+        assert median_filter(v, w).tolist() == median_filter_oracle(v, w)
+
+
 def test_median_filter_rejects_even_window():
     with pytest.raises(InvalidArgument):
         median_filter(np.zeros(16), 4)
@@ -284,6 +295,22 @@ def test_autocorrelation_sine_period_peak():
     v = 0.5 + 0.5 * np.sin(2 * np.pi * np.arange(2048) / period)
     r = autocorrelation(minmax_normalize(v))
     assert r[period] > 0.95
+
+
+def test_autocorrelation_matches_oracle_and_cycle_lag():
+    rng = np.random.default_rng(11)
+    for n in (16, 17, 64, 300, 2048, 2049):
+        t = np.linspace(0.0, 1.0, n)
+        for v in (rng.uniform(size=n),
+                  np.sin(2 * np.pi * rng.uniform(1, 12) * t) + 0.1 * rng.normal(size=n),
+                  np.cumsum(rng.normal(size=n)),
+                  np.tile([0.0, 0.0, 1.0, 1.0], n)[:n]):
+            s = minmax_normalize(v)
+            r = autocorrelation(s)
+            expected = autocorrelation_oracle(s.values)
+            assert r.shape == expected.shape
+            assert np.max(np.abs(r - expected)) < 1e-12
+            assert _find_cycle_lag(r) == _find_cycle_lag(expected)
 
 
 def test_autocorrelation_degenerate():
