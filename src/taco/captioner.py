@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import requests
 
@@ -57,15 +56,6 @@ MODEL_ENV = "TACO_LLM_MODEL"
 
 #: Default cap on concurrent rephrase requests.
 DEFAULT_IN_FLIGHT = 4
-
-
-@dataclass(frozen=True)
-class CaptionRecord:
-    """A base caption and, when rephrasing ran, its rephrased form."""
-
-    base_text: str
-    rephrased_text: str | None = None
-    rephrase_model: str | None = None
 
 
 def base_caption(classes, table: dict | None = None) -> str:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import __version__
-from .annotator import DetectorParams, TimeSeriesClass, annotate, load_config
+from .annotator import DetectorParams, TimeSeriesClass, load_config
 from .captioner import (
     DEFAULT_IN_FLIGHT,
     ENDPOINT_ENV,
@@ -31,16 +30,20 @@ from .errors import (
     TacoError,
     Unavailable,
 )
-from .evalkit import evaluate_corpus, load_index, nearnbr_caption, report_to_json
+from .evalkit import (
+    evaluate_corpus,
+    load_index,
+    nearnbr_caption,
+    record_values,
+    report_to_json,
+)
 from .pipeline import (
     IngestSpec,
     build_dataset,
     build_forward_dataset,
-    ingest_csv,
     read_jsonl,
     write_jsonl,
 )
-from .signal import Series, resample_linear
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,13 +64,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _json_scores(scores: dict) -> dict:
-    return {
-        name: (value if value is None or math.isfinite(value) else None)
-        for name, value in scores.items()
-    }
-
-
 def _load_params(path: str | None) -> DetectorParams:
     if path is None:
         return DetectorParams()
@@ -79,13 +75,17 @@ def _load_params(path: str | None) -> DetectorParams:
     return DetectorParams.from_json_dict(data)
 
 
-def _emit_rows(rows, out: str | None) -> None:
-    if out:
-        write_jsonl(rows, out)
+def _report_skips(skips, skip_path: str | None) -> None:
+    """Write skips to a sidecar file when given one, else one stderr line each."""
+    if not skips:
+        return
+    if skip_path:
+        write_jsonl(skips, skip_path)
+        print(f"{len(skips)} window(s) skipped, reasons in {skip_path}",
+              file=sys.stderr)
     else:
-        for row in rows:
-            data = row.to_json_dict() if hasattr(row, "to_json_dict") else row
-            print(json.dumps(data, allow_nan=False))
+        for entry in skips:
+            print(f"skipped {entry['source']}: {entry['reason']}", file=sys.stderr)
 
 
 def _add_ingest_flags(parser) -> None:
@@ -130,23 +130,13 @@ def _ingest_spec(args) -> IngestSpec:
 def _cmd_annotate(args) -> int:
     params = _load_params(args.params)
     cfg = load_config(args.config)
-    spec = _ingest_spec(args)
-    rows = []
-    for tag, values in ingest_csv(spec):
-        try:
-            resampled = resample_linear(values, spec.target_len)
-            annotation = annotate(Series(values=resampled), params, cfg, series_id=tag)
-        except TacoError as exc:
-            print(f"skipping {tag}: {exc}", file=sys.stderr)
-            continue
-        rows.append({
-            "id": tag,
-            "source": tag,
-            "classes": annotation.class_names(),
-            "scores": _json_scores(annotation.scores.as_dict()),
-            "params_digest": annotation.params_digest,
-        })
-    _emit_rows(rows, args.out)
+    records, skips = build_dataset(_ingest_spec(args), params, cfg,
+                                   include_values=False)
+    rows = [{key: data[key] for key in ("id", "source", "classes", "scores")}
+            | {"params_digest": data["config_digest"]}
+            for data in (record.to_json_dict() for record in records)]
+    write_jsonl(rows, args.out)
+    _report_skips(skips, None)
     return EXIT_OK
 
 
@@ -174,7 +164,7 @@ def _cmd_caption(args) -> int:
             max_in_flight=args.jobs or DEFAULT_IN_FLIGHT)
         for row, new in zip(rows, rephrased):
             row["caption_rephrased"] = new
-    _emit_rows(rows, args.out)
+    write_jsonl(rows, args.out)
     return EXIT_OK
 
 
@@ -193,7 +183,7 @@ def _cmd_synth(args) -> int:
         length=args.length,
         constraints=constraints,
     )
-    _emit_rows(records, args.out)
+    write_jsonl(records, args.out)
     return EXIT_OK
 
 
@@ -217,16 +207,9 @@ def _cmd_dataset(args) -> int:
         jobs=args.jobs,
         include_values=not args.no_values,
     )
-    _emit_rows(records, args.out)
-    if skips:
-        skip_path = args.skip_log or (f"{args.out}.skipped.jsonl" if args.out else None)
-        if skip_path:
-            write_jsonl(skips, skip_path)
-            print(f"{len(skips)} window(s) skipped, reasons in {skip_path}",
-                  file=sys.stderr)
-        else:
-            for entry in skips:
-                print(f"skipped {entry['source']}: {entry['reason']}", file=sys.stderr)
+    write_jsonl(records, args.out)
+    _report_skips(skips, args.skip_log
+                  or (f"{args.out}.skipped.jsonl" if args.out else None))
     return EXIT_OK
 
 
@@ -234,16 +217,15 @@ def _cmd_nearnbr(args) -> int:
     index = load_index(args.index)
     rows = []
     for record in read_jsonl(args.queries):
-        if record.values is None:
-            raise InvalidArgument(f"query record {record.id!r} has no values")
-        caption, neighbor_id, mse = nearnbr_caption(record.values, index)
+        caption, neighbor_id, mse = nearnbr_caption(
+            record_values(record, args.queries), index)
         rows.append({
             "id": record.id,
             "caption_base": caption,
             "neighbor_id": neighbor_id,
             "mse": mse,
         })
-    _emit_rows(rows, args.out)
+    write_jsonl(rows, args.out)
     return EXIT_OK
 
 
@@ -336,10 +318,7 @@ def run(argv=None) -> int:
     except (Unavailable, ProtocolError, EmptyCompletion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SERVICE
-    except TacoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (TacoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -154,6 +154,20 @@ class TrainIndex:
         return len(self.ids)
 
 
+def record_values(record, path) -> np.ndarray:
+    """A record's values as a non-empty 1-D finite float vector, else ParseError."""
+    if record.values is None:
+        raise ParseError(f"{path}: record {record.id!r} has no values")
+    try:
+        values = np.asarray(record.values, dtype=float)
+    except (TypeError, ValueError):
+        values = np.empty(0)
+    if values.ndim != 1 or not values.size or not np.isfinite(values).all():
+        raise ParseError(f"{path}: record {record.id!r} has null, non-finite "
+                         f"or non-numeric values")
+    return values
+
+
 def load_index(path) -> TrainIndex:
     """Load a training JSONL file into a retrieval index.
 
@@ -161,26 +175,15 @@ def load_index(path) -> TrainIndex:
     must share one length.
     """
     records = read_jsonl(path)
-    ids = []
-    rows = []
-    captions = []
-    for record in records:
-        if record.values is None:
-            raise ParseError(f"{path}: record {record.id!r} has no values")
-        ids.append(record.id)
-        rows.append(np.asarray(record.values, dtype=float))
-        captions.append(record.caption())
+    ids = [record.id for record in records]
+    rows = [record_values(record, path) for record in records]
+    captions = [record.caption() for record in records]
     if not rows:
         raise EmptyIndex(f"{path} contains no records")
     lengths = {row.size for row in rows}
     if len(lengths) != 1:
         raise ParseError(f"{path}: value vectors have mixed lengths {sorted(lengths)}")
-    matrix = np.vstack(rows)
-    finite = np.isfinite(matrix)
-    if not finite.all():
-        bad = ids[int(np.argmin(finite.all(axis=1)))]
-        raise ParseError(f"{path}: record {bad!r} has null or non-finite values")
-    return TrainIndex(ids=ids, matrix=matrix, captions=captions)
+    return TrainIndex(ids=ids, matrix=np.vstack(rows), captions=captions)
 
 
 def nearnbr_caption(query, index: TrainIndex) -> tuple[str, str, float]:

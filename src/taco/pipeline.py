@@ -9,8 +9,11 @@ and configuration produce byte-identical output files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,11 +31,6 @@ from .captioner import base_caption, rephrase_many
 from .errors import InvalidArgument, ParseError, TacoError
 from .signal import MIN_SERIES_LEN, Series, minmax_normalize, resample_linear
 from .synth import generate, sample_spec
-
-#: Serialized record keys, in on-disk order (values last: they dominate size).
-RECORD_KEYS = ("id", "source", "classes", "scores", "caption_base",
-               "caption_rephrased", "config_digest", "values")
-
 
 @dataclass(frozen=True)
 class DatasetRecord:
@@ -140,6 +138,10 @@ def _read_csv_columns(path: str, wanted: tuple | None) -> dict:
             selected.append(name)
         if not selected:
             raise ParseError(f"{path} has no numeric columns")
+    for i, name in enumerate(selected):
+        if name in selected[:i]:
+            raise ParseError(f"{path} has more than one column named {name!r}",
+                             column=name)
     columns: dict = {name: np.empty(len(rows)) for name in selected}
     indices = {name: header.index(name) for name in selected}
     for row_num, row in enumerate(rows, start=1):
@@ -175,8 +177,16 @@ def ingest_csv(spec: IngestSpec):
                 start += stride
 
 
+def _record(tag: str, source: str, classes: list, scores: dict, caption: str,
+            digest: str, values, include_values: bool) -> DatasetRecord:
+    """The one record constructor; values are min-max scaled only when kept."""
+    kept = minmax_normalize(values).values.tolist() if include_values else None
+    return DatasetRecord(id=tag, source=source, classes=classes, scores=scores,
+                         caption_base=caption, config_digest=digest, values=kept)
+
+
 def _process_window(args):
-    """Resample, normalize, annotate and caption one window.
+    """Resample, annotate and caption one window.
 
     Module-level so it can run inside a process pool.  Returns
     ``("ok", record)`` or ``("skip", source, reason)``.
@@ -184,21 +194,11 @@ def _process_window(args):
     tag, values, params, cfg, target_len, include_values, digest = args
     try:
         resampled = resample_linear(values, target_len)
-        series = Series(values=resampled)
-        annotation = annotate(series, params, cfg, series_id=tag)
-        caption = base_caption(annotation.classes)
-        normalized = minmax_normalize(resampled)
-        record = DatasetRecord(
-            id=tag,
-            source=tag,
-            classes=annotation.class_names(),
-            scores=annotation.scores.as_dict(),
-            caption_base=caption,
-            caption_rephrased=None,
-            config_digest=digest,
-            values=normalized.values.tolist() if include_values else None,
-        )
-        return ("ok", record)
+        annotation = annotate(Series(values=resampled), params, cfg, series_id=tag)
+        return ("ok", _record(tag, tag, annotation.class_names(),
+                              annotation.scores.as_dict(),
+                              base_caption(annotation.classes), digest,
+                              resampled, include_values))
     except TacoError as exc:
         return ("skip", tag, f"{type(exc).__name__}: {exc}")
 
@@ -275,37 +275,61 @@ def build_forward_dataset(n: int, master_seed: int, annotate_also: bool = False,
             caption = f"{caption} {base_caption(annotation.classes)}"
             classes += [c for c in annotation.class_names() if c not in classes]
             scores = annotation.scores.as_dict()
-        normalized = minmax_normalize(synth_record.values)
-        records.append(DatasetRecord(
-            id=f"synth-{i:06d}",
-            source="synth",
-            classes=classes,
-            scores=scores,
-            caption_base=caption,
-            caption_rephrased=None,
-            config_digest=digest,
-            values=normalized.values.tolist() if include_values else None,
-        ))
+        records.append(_record(f"synth-{i:06d}", "synth", classes, scores, caption,
+                               digest, synth_record.values, include_values))
     return records, []
 
 
-def write_jsonl(records, path) -> int:
-    """Write records (DatasetRecord or plain dicts) as one JSON object per
-    line, UTF-8, fixed key order.  Returns the number of lines written."""
+def _write_lines(records, handle) -> int:
     count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for record in records:
-            data = record.to_json_dict() if hasattr(record, "to_json_dict") else record
-            handle.write(json.dumps(data, allow_nan=False))
-            handle.write("\n")
-            count += 1
+    for record in records:
+        data = record.to_json_dict() if hasattr(record, "to_json_dict") else record
+        handle.write(json.dumps(data, allow_nan=False))
+        handle.write("\n")
+        count += 1
     return count
+
+
+def write_jsonl(records, path=None) -> int:
+    """Write records (DatasetRecord or plain dicts) as one JSON object per
+    line, UTF-8, fixed key order, to ``path`` or to stdout when it is None
+    or empty.  Returns the number of lines written.  A regular file is
+    written atomically: a temporary file beside it replaces it only once
+    every line is written, so a failure leaves any earlier file untouched.
+    """
+    if not path:
+        return _write_lines(records, sys.stdout)
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a device or pipe (/dev/stdout, a FIFO) cannot be replaced
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            return _write_lines(records, handle)
+    target = os.path.realpath(path)  # replace a symlink's target, not the link
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
+            count = _write_lines(records, handle)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return count
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a finite JSON number")
+
+
+#: Refuses the ``NaN``/``Infinity`` tokens that ``write_jsonl`` never writes.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def read_jsonl(path) -> list[DatasetRecord]:
     """Read a JSONL dataset file back into records.
 
-    Malformed lines (including a truncated final line) raise
+    Malformed lines (including a truncated final line and the non-finite
+    tokens ``NaN``, ``Infinity`` and ``-Infinity``) raise
     :class:`ParseError` carrying the 1-based line number.
     """
     records = []
@@ -319,8 +343,8 @@ def read_jsonl(path) -> list[DatasetRecord]:
             if not stripped and line.endswith("\n"):
                 continue
             try:
-                data = json.loads(stripped)
-            except json.JSONDecodeError as exc:
+                data = _DECODER.decode(stripped)
+            except ValueError as exc:
                 raise ParseError(
                     f"{path}: malformed JSON at line {line_num}: {exc}",
                     line=line_num) from None

@@ -202,6 +202,20 @@ def _index_with_null(tmp_path):
             "--queries", str(tmp_path / "q.jsonl")]
 
 
+def _nearnbr_with(side, bad):
+    def build(tmp_path):
+        rows = {name: [{"id": f"{name}{i}", "caption_base": f"cap {i}",
+                        "values": [float(i)] * 16} for i in range(3)]
+                for name in ("index", "query")}
+        rows[side][1]["values"][5] = bad
+        for name, body in rows.items():  # json.dumps writes a NaN token for nan
+            (tmp_path / f"{name}.jsonl").write_text(
+                "".join(json.dumps(row) + "\n" for row in body))
+        return ["nearnbr", "--index", str(tmp_path / "index.jsonl"),
+                "--queries", str(tmp_path / "query.jsonl")]
+    return build
+
+
 def _dataset_with(flag, body):
     def build(tmp_path):
         path = tmp_path / "settings.json"
@@ -224,8 +238,15 @@ def _rising_cutoff(cutoff):
     _dataset_with("--config", _rising_cutoff("abc")),
     _dataset_with("--config", _rising_cutoff(None)),
     _index_with_null,
+    _nearnbr_with("index", "abc"),
+    _nearnbr_with("query", None),
+    _nearnbr_with("query", "abc"),
+    _nearnbr_with("query", [1.0]),
+    _nearnbr_with("query", float("nan")),
 ], ids=["params-k-segments-string", "params-spike-sigma-null", "config-cutoff-string",
-        "config-cutoff-null", "nearnbr-null-value"])
+        "config-cutoff-null", "nearnbr-null-value", "nearnbr-index-string-value",
+        "nearnbr-query-null-value", "nearnbr-query-string-value",
+        "nearnbr-query-nested-value", "nearnbr-query-nan-token"])
 def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(build(tmp_path) + ["--out", str(out)]) == EXIT_DATA
@@ -233,3 +254,46 @@ def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.fixture()
+def csv_with_bad_window(tmp_path):
+    # windows 0 and 2 of column v are clean; window 1 holds an inf sample
+    path = tmp_path / "mixed.csv"
+    values = list(np.linspace(0.0, 1.0, 900))
+    values[450] = float("inf")
+    path.write_text("v\n" + "".join(f"{float(v)!r}\n" for v in values))
+    return str(path)
+
+
+def test_annotate_rows_are_projected_dataset_records(csv_with_bad_window, tmp_path,
+                                                     capsys):
+    ann = tmp_path / "ann.jsonl"
+    ds = tmp_path / "ds.jsonl"
+    assert main(["annotate", "--input", csv_with_bad_window, "--out", str(ann)]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "skipped mixed.csv#v#1: InvalidSignal: "
+        "signal contains NaN or infinite samples\n")
+    assert main(["dataset", "--input", csv_with_bad_window, "--no-values",
+                 "--out", str(ds)]) == EXIT_OK
+    rows = [json.loads(line) for line in ann.read_text().splitlines()]
+    records = [json.loads(line) for line in ds.read_text().splitlines()]
+    assert [row["id"] for row in rows] == ["mixed.csv#v#0", "mixed.csv#v#2"]
+    assert rows == [
+        {"id": r["id"], "source": r["source"], "classes": r["classes"],
+         "scores": r["scores"], "params_digest": r["config_digest"]}
+        for r in records
+    ]
+    assert [list(row) for row in rows] == [
+        ["id", "source", "classes", "scores", "params_digest"]] * 2
+    assert not (tmp_path / "ann.jsonl.skipped.jsonl").exists()
+
+
+def test_dataset_stdout_matches_out_file(csv_with_bad_window, tmp_path, capsys):
+    out = tmp_path / "ds.jsonl"
+    assert main(["dataset", "--input", csv_with_bad_window, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["dataset", "--input", csv_with_bad_window]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.encode("utf-8") == out.read_bytes()
+    assert captured.err.startswith("skipped mixed.csv#v#1: ")

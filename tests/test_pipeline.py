@@ -81,6 +81,15 @@ def test_ingest_missing_file():
         list(ingest_csv(IngestSpec(inputs=("/nonexistent/nope.csv",))))
 
 
+@pytest.mark.parametrize("columns", [None, ("x",)])
+def test_ingest_duplicate_header_names_rejected(tmp_path, columns):
+    path = tmp_path / "dup.csv"
+    path.write_text("x,x\n" + "".join(f"{i},{-i}\n" for i in range(32)))
+    with pytest.raises(ParseError, match="'x'") as err:
+        list(ingest_csv(IngestSpec(inputs=(path,), columns=columns, window_len=16)))
+    assert err.value.column == "x"
+
+
 def test_ingest_column_selection(tmp_path):
     path = tmp_path / "two.csv"
     write_csv(path, {"a": list(np.arange(64.0)), "b": list(np.arange(64.0))})
@@ -245,6 +254,34 @@ def test_jsonl_truncated_final_line(tmp_path):
     with pytest.raises(ParseError, match="line 2") as err:
         read_jsonl(path)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_jsonl_non_finite_token_rejected(tmp_path, token):
+    path = tmp_path / "nan.jsonl"
+    path.write_text('{"id": "a", "caption_base": "x."}\n'
+                    f'{{"id": "b", "caption_base": "x.", "values": [0.5, {token}]}}\n')
+    with pytest.raises(ParseError, match="line 2") as err:
+        read_jsonl(path)
+    assert err.value.line == 2
+
+
+def test_write_jsonl_failure_leaves_no_file(tmp_path):
+    rows = [{"id": "a"}, {"id": "b", "mse": float("nan")}]
+    path = tmp_path / "new.jsonl"
+    with pytest.raises(ValueError):
+        write_jsonl(rows, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_jsonl_failure_keeps_earlier_file(tmp_path):
+    path = tmp_path / "old.jsonl"
+    write_jsonl([{"id": "kept"}], path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_jsonl([{"id": "a"}, {"id": "b", "mse": float("nan")}], path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_jsonl_infinite_scores_serialized_as_null(tmp_path):
