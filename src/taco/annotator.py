@@ -260,18 +260,15 @@ def config_digest(params: DetectorParams, cfg: ThresholdConfig) -> str:
 class Annotation:
     """Classes assigned to one series, with the scores that produced them."""
 
-    series_id: str
     classes: frozenset
     scores: ScoreVector
-    params_digest: str
 
     def class_names(self) -> list[str]:
         return class_names(self.classes)
 
 
 def annotate(s: Series, p: DetectorParams | None = None,
-             cfg: ThresholdConfig | None = None,
-             series_id: str = "") -> Annotation:
+             cfg: ThresholdConfig | None = None) -> Annotation:
     """Normalize, score and classify one raw series."""
     if p is None:
         p = DetectorParams()
@@ -282,9 +279,4 @@ def annotate(s: Series, p: DetectorParams | None = None,
     normalized = minmax_normalize(s)
     scores = score_all(normalized, p)
     classes = assign_classes(scores, cfg)
-    return Annotation(
-        series_id=series_id,
-        classes=frozenset(classes),
-        scores=scores,
-        params_digest=config_digest(p, cfg),
-    )
+    return Annotation(classes=frozenset(classes), scores=scores)

@@ -58,29 +58,25 @@ MODEL_ENV = "TACO_LLM_MODEL"
 DEFAULT_IN_FLIGHT = 4
 
 
-def base_caption(classes, table: dict | None = None) -> str:
+def base_caption(classes) -> str:
     """Concatenate the class templates in canonical order.
 
     The input may be any iterable of classes; insertion order never matters.
     An empty class set yields the fixed no-salient-characteristics sentence.
     """
-    if table is None:
-        table = BASE_CAPTIONS
     ordered = sorted_classes(set(classes))
     if not ordered:
         return NO_SALIENT_CAPTION
-    return " ".join(table[cls] for cls in ordered)
+    return " ".join(BASE_CAPTIONS[cls] for cls in ordered)
 
 
-def classes_from_caption(text: str, table: dict | None = None) -> set[TimeSeriesClass]:
+def classes_from_caption(text: str) -> set[TimeSeriesClass]:
     """Recover the class set from a base caption (round-trip check).
 
     Templates are unique complete sentences, so membership is a substring
     test per template.
     """
-    if table is None:
-        table = BASE_CAPTIONS
-    return {cls for cls, template in table.items() if template in text}
+    return {cls for cls, template in BASE_CAPTIONS.items() if template in text}
 
 
 def _extract_completion(body: dict) -> str:

@@ -42,13 +42,21 @@ from .pipeline import (
     build_dataset,
     build_forward_dataset,
     read_jsonl,
+    write_atomic,
     write_jsonl,
 )
+from .synth import OVERLAY_NAMES, SHAPE_NAMES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SERVICE = 3
+
+
+#: Forward shape and overlay names that synth records list among their classes
+#: and that name no time-series class; ``caption --input`` skips them.
+_FORWARD_ONLY_NAMES = (frozenset(SHAPE_NAMES + OVERLAY_NAMES)
+                       - {member.value for member in TimeSeriesClass})
 
 
 class _UsageError(Exception):
@@ -155,7 +163,8 @@ def _cmd_caption(args) -> int:
         return EXIT_OK
     rows = []
     for record in read_jsonl(args.input):
-        classes = {TimeSeriesClass.from_name(n) for n in record.classes}
+        classes = {TimeSeriesClass.from_name(n) for n in record.classes
+                   if n not in _FORWARD_ONLY_NAMES}
         rows.append({"id": record.id, "caption_base": base_caption(classes)})
     if args.rephrase:
         rephrased = rephrase_many(
@@ -233,8 +242,7 @@ def _cmd_eval(args) -> int:
     report = evaluate_corpus(args.candidates, args.references)
     text = report_to_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        write_atomic(args.out, lambda handle: handle.write(text + "\n"))
     else:
         print(text)
     return EXIT_OK

@@ -112,7 +112,7 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(candidate: str, reference: str, beta: float = 1.2) -> float:
+def rouge_l(candidate: str, reference: str) -> float:
     """ROUGE-L F-measure on word tokens (recall-weighted, beta = 1.2)."""
     cand = tokenize(candidate)
     ref = tokenize(reference)
@@ -123,7 +123,7 @@ def rouge_l(candidate: str, reference: str, beta: float = 1.2) -> float:
         return 0.0
     precision = lcs / len(cand)
     recall = lcs / len(ref)
-    beta_sq = beta * beta
+    beta_sq = 1.2 * 1.2
     return (1.0 + beta_sq) * precision * recall / (recall + beta_sq * precision)
 
 

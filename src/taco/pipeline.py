@@ -194,7 +194,7 @@ def _process_window(args):
     tag, values, params, cfg, target_len, include_values, digest = args
     try:
         resampled = resample_linear(values, target_len)
-        annotation = annotate(Series(values=resampled), params, cfg, series_id=tag)
+        annotation = annotate(Series(values=resampled), params, cfg)
         return ("ok", _record(tag, tag, annotation.class_names(),
                               annotation.scores.as_dict(),
                               base_caption(annotation.classes), digest,
@@ -292,29 +292,40 @@ def _write_lines(records, handle) -> int:
 
 def write_jsonl(records, path=None) -> int:
     """Write records (DatasetRecord or plain dicts) as one JSON object per
-    line, UTF-8, fixed key order, to ``path`` or to stdout when it is None
-    or empty.  Returns the number of lines written.  A regular file is
-    written atomically: a temporary file beside it replaces it only once
-    every line is written, so a failure leaves any earlier file untouched.
+    line, UTF-8, fixed key order, to ``path`` through :func:`write_atomic`,
+    or to stdout when it is None or empty.  Returns the number of lines
+    written.
     """
     if not path:
         return _write_lines(records, sys.stdout)
+    return write_atomic(path, lambda handle: _write_lines(records, handle))
+
+
+def write_atomic(path, write):
+    """Call ``write(handle)`` on a UTF-8 text handle for ``path`` and return
+    its result.  A regular file is written atomically: a temporary file
+    beside it replaces it only once ``write`` returns, so a failure leaves
+    any earlier file untouched.  An ``OSError`` names ``path``, never the
+    temporary file.
+    """
     if os.path.exists(path) and not os.path.isfile(path):
         # a device or pipe (/dev/stdout, a FIFO) cannot be replaced
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            return _write_lines(records, handle)
+            return write(handle)
     target = os.path.realpath(path)  # replace a symlink's target, not the link
     head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
-            count = _write_lines(records, handle)
+            result = write(handle)
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
-    return count
+    return result
 
 
 def _reject_constant(token: str):

@@ -10,6 +10,7 @@ fully determines its output.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,73 +23,6 @@ DEFAULT_LENGTH = 2048
 #: Fraction of samples at each edge where spikes are never placed, so the
 #: detectors' edge padding cannot swallow them.
 SPIKE_EDGE_MARGIN = 0.02
-
-#: Base shape names in canonical order.
-SHAPE_NAMES = (
-    "Constant",
-    "LinearIncrease",
-    "LinearDecrease",
-    "Concave",
-    "Convex",
-    "ExpGrowth",
-    "ExpDecay",
-    "InvExpGrowth",
-    "InvExpDecay",
-    "Sigmoid",
-    "InvSigmoid",
-    "Cubic",
-    "NegCubic",
-    "Gaussian",
-    "InvGaussian",
-    "Sinusoidal",
-    "Square",
-    "Sawtooth",
-    "ReverseSawtooth",
-    "Triangle",
-)
-
-#: Overlay names in canonical (application and caption) order.
-OVERLAY_NAMES = (
-    "Noisy",
-    "Smooth",
-    "Steppy",
-    "PosSpiky",
-    "NegSpiky",
-    "PosNegSpiky",
-)
-
-FORWARD_BASE_CAPTIONS = {
-    "Constant": "The signal is constant.",
-    "LinearIncrease": "The signal increases linearly.",
-    "LinearDecrease": "The signal decreases linearly.",
-    "Concave": "The signal has a concave shape.",
-    "Convex": "The signal has a convex shape.",
-    "ExpGrowth": "The signal grows exponentially.",
-    "ExpDecay": "The signal decays exponentially.",
-    "InvExpGrowth": "The signal follows an inverted exponential growth curve.",
-    "InvExpDecay": "The signal follows an inverted exponential decay curve.",
-    "Sigmoid": "The signal follows a sigmoid curve.",
-    "InvSigmoid": "The signal follows an inverted sigmoid curve.",
-    "Cubic": "The signal follows a cubic curve.",
-    "NegCubic": "The signal follows a negative cubic curve.",
-    "Gaussian": "The signal follows a Gaussian curve.",
-    "InvGaussian": "The signal follows an inverted Gaussian curve.",
-    "Sinusoidal": "The signal follows a sinusoidal wave.",
-    "Square": "The signal follows a square wave.",
-    "Sawtooth": "The signal follows a sawtooth wave.",
-    "ReverseSawtooth": "The signal follows a reverse sawtooth wave.",
-    "Triangle": "The signal follows a triangle wave.",
-}
-
-FORWARD_OVERLAY_CAPTIONS = {
-    "Noisy": "The signal contains a lot of noise.",
-    "Smooth": "The signal has a smooth shape.",
-    "Steppy": "The signal changes in step-like increments.",
-    "PosSpiky": "The signal contains sudden positive spikes.",
-    "NegSpiky": "The signal contains sudden negative spikes.",
-    "PosNegSpiky": "The signal contains sudden positive and negative spikes.",
-}
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -219,30 +153,73 @@ def _shape_triangle(t, params):
     return 1.0 - np.abs(1.0 - 2.0 * _frac(p * t))
 
 
-_SHAPE_FUNCS = {
-    "Constant": _shape_constant,
-    "LinearIncrease": _shape_linear_increase,
-    "LinearDecrease": _shape_linear_decrease,
-    "Concave": _shape_concave,
-    "Convex": _shape_convex,
-    "ExpGrowth": _shape_exp_growth,
-    "ExpDecay": _shape_exp_decay,
-    "InvExpGrowth": _shape_inv_exp_growth,
-    "InvExpDecay": _shape_inv_exp_decay,
-    "Sigmoid": _shape_sigmoid,
-    "InvSigmoid": _shape_inv_sigmoid,
-    "Cubic": _shape_cubic,
-    "NegCubic": _shape_neg_cubic,
-    "Gaussian": _shape_gaussian,
-    "InvGaussian": _shape_inv_gaussian,
-    "Sinusoidal": _shape_sinusoidal,
-    "Square": _shape_square,
-    "Sawtooth": _shape_sawtooth,
-    "ReverseSawtooth": _shape_reverse_sawtooth,
-    "Triangle": _shape_triangle,
+#: A base shape: its evaluator on the [0, 1] grid, its forward caption and
+#: its sampled knobs as ``name -> (lo, hi)`` in draw order.  An overlay has
+#: the same caption and knobs, and is applied by :func:`_apply_overlay`.
+_Shape = namedtuple("_Shape", "evaluate caption knobs")
+_Overlay = namedtuple("_Overlay", "caption knobs")
+
+# Knob ranges shared by a family of shapes or of overlays.
+_CONVEX_KNOBS = {"center": (0.25, 0.75)}
+_EXP_KNOBS = {"steepness": (2.0, 5.0)}
+_SIGMOID_KNOBS = {"steepness": (5.0, 20.0), "center": (0.35, 0.65)}
+_CUBIC_KNOBS = {"center": (0.4, 0.6)}
+_GAUSSIAN_KNOBS = {"center": (0.25, 0.75), "width": (0.05, 0.3)}
+_WAVE_KNOBS = {"periods": (1, 8)}
+_SPIKE_KNOBS = {"amplitude": (0.3, 0.8), "count": (1, 5)}
+
+#: Base shapes in canonical order.  A shape with a ``periods`` knob is
+#: periodic.
+_SHAPES = {
+    "Constant": _Shape(_shape_constant, "The signal is constant.", {}),
+    "LinearIncrease": _Shape(_shape_linear_increase, "The signal increases linearly.", {}),
+    "LinearDecrease": _Shape(_shape_linear_decrease, "The signal decreases linearly.", {}),
+    "Concave": _Shape(_shape_concave, "The signal has a concave shape.", _CONVEX_KNOBS),
+    "Convex": _Shape(_shape_convex, "The signal has a convex shape.", _CONVEX_KNOBS),
+    "ExpGrowth": _Shape(_shape_exp_growth, "The signal grows exponentially.", _EXP_KNOBS),
+    "ExpDecay": _Shape(_shape_exp_decay, "The signal decays exponentially.", _EXP_KNOBS),
+    "InvExpGrowth": _Shape(
+        _shape_inv_exp_growth,
+        "The signal follows an inverted exponential growth curve.", _EXP_KNOBS),
+    "InvExpDecay": _Shape(
+        _shape_inv_exp_decay,
+        "The signal follows an inverted exponential decay curve.", _EXP_KNOBS),
+    "Sigmoid": _Shape(_shape_sigmoid, "The signal follows a sigmoid curve.", _SIGMOID_KNOBS),
+    "InvSigmoid": _Shape(
+        _shape_inv_sigmoid, "The signal follows an inverted sigmoid curve.", _SIGMOID_KNOBS),
+    "Cubic": _Shape(_shape_cubic, "The signal follows a cubic curve.", _CUBIC_KNOBS),
+    "NegCubic": _Shape(
+        _shape_neg_cubic, "The signal follows a negative cubic curve.", _CUBIC_KNOBS),
+    "Gaussian": _Shape(
+        _shape_gaussian, "The signal follows a Gaussian curve.", _GAUSSIAN_KNOBS),
+    "InvGaussian": _Shape(
+        _shape_inv_gaussian,
+        "The signal follows an inverted Gaussian curve.", _GAUSSIAN_KNOBS),
+    "Sinusoidal": _Shape(
+        _shape_sinusoidal, "The signal follows a sinusoidal wave.",
+        _WAVE_KNOBS | {"phase": (0.0, 2.0 * math.pi)}),
+    "Square": _Shape(_shape_square, "The signal follows a square wave.", _WAVE_KNOBS),
+    "Sawtooth": _Shape(_shape_sawtooth, "The signal follows a sawtooth wave.", _WAVE_KNOBS),
+    "ReverseSawtooth": _Shape(
+        _shape_reverse_sawtooth, "The signal follows a reverse sawtooth wave.", _WAVE_KNOBS),
+    "Triangle": _Shape(
+        _shape_triangle, "The signal follows a triangle wave.", {"periods": (1, 4)}),
 }
 
-_PERIODIC_SHAPES = {"Sinusoidal", "Square", "Sawtooth", "ReverseSawtooth", "Triangle"}
+#: Overlays in canonical (application and caption) order.
+_OVERLAYS = {
+    "Noisy": _Overlay("The signal contains a lot of noise.", {"magnitude": (0.05, 0.5)}),
+    "Smooth": _Overlay("The signal has a smooth shape.", {"window_frac": (0.01, 0.05)}),
+    "Steppy": _Overlay("The signal changes in step-like increments.", {"count": (1, 4)}),
+    "PosSpiky": _Overlay("The signal contains sudden positive spikes.", _SPIKE_KNOBS),
+    "NegSpiky": _Overlay("The signal contains sudden negative spikes.", _SPIKE_KNOBS),
+    "PosNegSpiky": _Overlay(
+        "The signal contains sudden positive and negative spikes.", _SPIKE_KNOBS),
+}
+
+#: Shape and overlay names, each in canonical order.
+SHAPE_NAMES = tuple(_SHAPES)
+OVERLAY_NAMES = tuple(_OVERLAYS)
 
 
 def _spike_positions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -287,12 +264,12 @@ def _apply_overlay(values: np.ndarray, name: str, params: dict,
 
 
 def _validate_spec(spec: SynthSpec) -> None:
-    if spec.base_shape not in _SHAPE_FUNCS:
+    if spec.base_shape not in _SHAPES:
         raise InvalidSpec(f"unknown base shape: {spec.base_shape!r}")
     for name in spec.overlays:
-        if name not in OVERLAY_NAMES:
+        if name not in _OVERLAYS:
             raise InvalidSpec(f"unknown overlay: {name!r}")
-    if spec.base_shape in _PERIODIC_SHAPES:
+    if "periods" in _SHAPES[spec.base_shape].knobs:
         if spec.shape_params.get("periods", 1) < 1:
             raise InvalidSpec("period count must be >= 1 for periodic shapes")
     if spec.length < 2:
@@ -302,11 +279,12 @@ def _validate_spec(spec: SynthSpec) -> None:
 def forward_caption(spec: SynthSpec) -> str:
     """Caption derived from the shape and overlay names, canonical order."""
     _validate_spec(spec)
-    sentences = [FORWARD_BASE_CAPTIONS[spec.base_shape]]
-    for name in OVERLAY_NAMES:
-        if name in spec.overlays:
-            sentences.append(FORWARD_OVERLAY_CAPTIONS[name])
-    return " ".join(sentences)
+    return _caption(forward_class_names(spec))
+
+
+def _caption(names: list[str]) -> str:
+    base, *overlays = names
+    return " ".join([_SHAPES[base].caption] + [_OVERLAYS[n].caption for n in overlays])
 
 
 def forward_class_names(spec: SynthSpec) -> list[str]:
@@ -317,108 +295,49 @@ def generate(spec: SynthSpec) -> SynthRecord:
     """Evaluate a spec into a signal, fully determined by the spec itself."""
     _validate_spec(spec)
     t = np.linspace(0.0, 1.0, spec.length)
-    values = np.asarray(_SHAPE_FUNCS[spec.base_shape](t, spec.shape_params), dtype=float)
+    values = np.asarray(_SHAPES[spec.base_shape].evaluate(t, spec.shape_params), dtype=float)
     rng = np.random.default_rng(spec.seed)
     for name in OVERLAY_NAMES:
         if name in spec.overlays:
             values = _apply_overlay(values, name, spec.overlays[name], rng)
-    return SynthRecord(
-        values=values,
-        forward_classes=forward_class_names(spec),
-        caption=forward_caption(spec),
-    )
+    names = forward_class_names(spec)
+    return SynthRecord(values=values, forward_classes=names, caption=_caption(names))
 
-
-#: Sampling ranges for shape parameters, one entry per knob.
-_PARAM_RANGES = {
-    "center": (0.25, 0.75),
-    "sigmoid_center": (0.35, 0.65),
-    "cubic_center": (0.4, 0.6),
-    "width": (0.05, 0.3),
-    "exp_steepness": (2.0, 5.0),
-    "sigmoid_steepness": (5.0, 20.0),
-    "periods": (1, 8),
-    "triangle_periods": (1, 4),
-    "noise_magnitude": (0.05, 0.5),
-    "smooth_window_frac": (0.01, 0.05),
-    "spike_amplitude": (0.3, 0.8),
-    "spike_count": (1, 5),
-    "step_count": (1, 4),
-}
 
 #: Probability that each overlay is present in a sampled spec.
 OVERLAY_PROBABILITY = 0.3
 
 
-def _sample_shape_params(rng: np.random.Generator, shape: str) -> dict:
-    u = rng.uniform
-    if shape in ("Convex", "Concave"):
-        return {"center": float(u(*_PARAM_RANGES["center"]))}
-    if shape in ("ExpGrowth", "ExpDecay", "InvExpGrowth", "InvExpDecay"):
-        return {"steepness": float(u(*_PARAM_RANGES["exp_steepness"]))}
-    if shape in ("Sigmoid", "InvSigmoid"):
-        return {
-            "steepness": float(u(*_PARAM_RANGES["sigmoid_steepness"])),
-            "center": float(u(*_PARAM_RANGES["sigmoid_center"])),
-        }
-    if shape in ("Cubic", "NegCubic"):
-        return {"center": float(u(*_PARAM_RANGES["cubic_center"]))}
-    if shape in ("Gaussian", "InvGaussian"):
-        return {
-            "center": float(u(*_PARAM_RANGES["center"])),
-            "width": float(u(*_PARAM_RANGES["width"])),
-        }
-    if shape == "Sinusoidal":
-        lo, hi = _PARAM_RANGES["periods"]
-        return {
-            "periods": int(rng.integers(lo, hi + 1)),
-            "phase": float(u(0.0, 2.0 * np.pi)),
-        }
-    if shape in ("Square", "Sawtooth", "ReverseSawtooth"):
-        lo, hi = _PARAM_RANGES["periods"]
-        return {"periods": int(rng.integers(lo, hi + 1))}
-    if shape == "Triangle":
-        lo, hi = _PARAM_RANGES["triangle_periods"]
-        return {"periods": int(rng.integers(lo, hi + 1))}
-    return {}
-
-
-def _sample_overlay_params(rng: np.random.Generator, name: str) -> dict:
-    u = rng.uniform
-    if name == "Noisy":
-        return {"magnitude": float(u(*_PARAM_RANGES["noise_magnitude"]))}
-    if name == "Smooth":
-        return {"window_frac": float(u(*_PARAM_RANGES["smooth_window_frac"]))}
-    if name == "Steppy":
-        lo, hi = _PARAM_RANGES["step_count"]
-        return {"count": int(rng.integers(lo, hi + 1))}
-    lo, hi = _PARAM_RANGES["spike_count"]
+def _sample_params(rng: np.random.Generator, ranges: dict) -> dict:
+    """One draw per knob, in the order given: an integer in [lo, hi] for
+    integer bounds, else uniform on [lo, hi)."""
     return {
-        "amplitude": float(u(*_PARAM_RANGES["spike_amplitude"])),
-        "count": int(rng.integers(lo, hi + 1)),
+        name: int(rng.integers(lo, hi + 1)) if isinstance(lo, int)
+        else float(rng.uniform(lo, hi))
+        for name, (lo, hi) in ranges.items()
     }
 
 
 def sample_spec(rng_seed: int, constraints=None,
                 length: int = DEFAULT_LENGTH) -> SynthSpec:
-    """Sample a random spec: uniform shape choice, documented param ranges,
-    each overlay included with probability :data:`OVERLAY_PROBABILITY`."""
+    """Sample a random spec: uniform shape choice, knobs from the catalogue's
+    ranges, each overlay included with probability :data:`OVERLAY_PROBABILITY`."""
     if constraints is not None:
         shapes = sorted(set(constraints))
         if not shapes:
             raise InvalidArgument("constraint set must not be empty")
         for shape in shapes:
-            if shape not in _SHAPE_FUNCS:
+            if shape not in _SHAPES:
                 raise InvalidSpec(f"unknown base shape in constraints: {shape!r}")
     else:
         shapes = list(SHAPE_NAMES)
     rng = np.random.default_rng(rng_seed)
     base = str(rng.choice(shapes))
-    shape_params = _sample_shape_params(rng, base)
+    shape_params = _sample_params(rng, _SHAPES[base].knobs)
     overlays = {}
-    for name in OVERLAY_NAMES:
+    for name, overlay in _OVERLAYS.items():
         if rng.random() < OVERLAY_PROBABILITY:
-            overlays[name] = _sample_overlay_params(rng, name)
+            overlays[name] = _sample_params(rng, overlay.knobs)
     seed = int(rng.integers(0, 2 ** 63 - 1))
     return SynthSpec(
         base_shape=base,

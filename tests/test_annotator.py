@@ -210,8 +210,8 @@ def test_annotate_ramp_golden_set():
 def test_annotate_deterministic():
     rng = np.random.default_rng(61)
     v = rng.uniform(size=512)
-    a1 = annotate(Series(values=v), PARAMS, CFG, series_id="x")
-    a2 = annotate(Series(values=v), PARAMS, CFG, series_id="x")
+    a1 = annotate(Series(values=v), PARAMS, CFG)
+    a2 = annotate(Series(values=v), PARAMS, CFG)
     assert a1 == a2
 
 
@@ -238,10 +238,8 @@ def test_annotate_reversal_duality():
 
 
 def test_annotation_carries_digest_and_names():
-    ann = annotate(Series(values=np.linspace(0, 1, 64)), PARAMS, CFG, series_id="r")
+    ann = annotate(Series(values=np.linspace(0, 1, 64)), PARAMS, CFG)
     assert isinstance(ann, Annotation)
-    assert ann.series_id == "r"
-    assert ann.params_digest == config_digest(PARAMS, CFG)
     names = ann.class_names()
     assert names == sorted(names, key=lambda n: [c.value for c in TimeSeriesClass].index(n))
 

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from taco.annotator import default_config
+from taco.annotator import TimeSeriesClass, default_config
+from taco.captioner import classes_from_caption
 from taco.cli import EXIT_DATA, EXIT_OK, EXIT_SERVICE, EXIT_USAGE, main
 from taco.pipeline import read_jsonl, write_jsonl
 
@@ -82,6 +83,29 @@ def test_caption_batch_from_annotations(tmp_path, capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert lines[0]["caption_base"].startswith("The signal has a rising trend.")
     assert lines[1]["caption_base"] == "The signal has no salient characteristics."
+
+
+@pytest.mark.parametrize("extra", [[], ["--annotate-also"]], ids=["plain", "annotate-also"])
+def test_caption_input_reads_synth_output(extra, tmp_path, capsys):
+    synth = tmp_path / "synth.jsonl"
+    assert main(["synth", "--count", "12", "--seed", "3", "--length", "256",
+                 "--no-values", "--out", str(synth)] + extra) == EXIT_OK
+    assert main(["caption", "--input", str(synth)]) == EXIT_OK
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    records = read_jsonl(synth)
+    class_values = {member.value for member in TimeSeriesClass}
+    assert any(set(r.classes) - class_values for r in records)  # forward-only names
+    assert [row["id"] for row in rows] == [r.id for r in records]
+    for row, record in zip(rows, records):
+        assert {c.value for c in classes_from_caption(row["caption_base"])} == (
+            set(record.classes) & class_values)
+
+
+def test_caption_input_unknown_class_exits_two(tmp_path, capsys):
+    path = tmp_path / "ann.jsonl"
+    write_jsonl([{"id": "a", "classes": ["Sigmoid", "Wobbly"]}], path)
+    assert main(["caption", "--input", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: unknown time-series class: 'Wobbly'\n"
 
 
 def test_synth_seed_determinism(tmp_path):
@@ -189,6 +213,19 @@ def test_eval_report_to_file(tmp_path):
     assert main(["eval", "--candidates", str(c), "--references", str(c),
                  "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["sample_count"] == 1
+
+
+@pytest.mark.parametrize("command", ["synth", "eval"])
+def test_output_error_names_given_path(command, tmp_path, capsys):
+    captions = tmp_path / "c.jsonl"
+    write_jsonl([{"id": "a", "caption_base": "x y z"}], captions)
+    args = {"synth": ["synth", "--count", "2", "--length", "64"],
+            "eval": ["eval", "--candidates", str(captions), "--references", str(captions)]}
+    out = tmp_path / "missing" / "out.jsonl"
+    assert main(args[command] + ["--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(out) in err and ".tmp" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def _index_with_null(tmp_path):

@@ -143,6 +143,97 @@ def test_sample_spec_covers_every_shape():
     assert seen == set(SHAPE_NAMES)
 
 
+#: ``sample_spec(seed)`` for one seed per base shape: (base shape, shape
+#: params, overlays, generator seed).  Every synthetic dataset depends on
+#: this stream, so the draw order and method of every knob are fixed.
+PINNED_SPECS = {
+    23: ("Constant", {},
+         {"Smooth": {"window_frac": 0.014548322005253174},
+          "NegSpiky": {"amplitude": 0.409009318542868, "count": 4}},
+         4341438180207744286),
+    34: ("LinearIncrease", {},
+         {"Smooth": {"window_frac": 0.03604245191446741}},
+         4805311286309309219),
+    11: ("LinearDecrease", {},
+         {"Steppy": {"count": 1},
+          "PosSpiky": {"amplitude": 0.7641055114801847, "count": 3},
+          "NegSpiky": {"amplitude": 0.7741642266458875, "count": 1}},
+         3403360859201049159),
+    14: ("Concave", {"center": 0.4304733334171283},
+         {},
+         4308871221313643316),
+    38: ("Convex", {"center": 0.3748679295325388},
+         {"PosSpiky": {"amplitude": 0.7175451615069537, "count": 3}},
+         4469512386881694235),
+    105: ("ExpGrowth", {"steepness": 4.974379326443774},
+          {"Noisy": {"magnitude": 0.2780169537963895},
+           "Steppy": {"count": 3}},
+          2631996087388884829),
+    21: ("ExpDecay", {"steepness": 3.817541088712904},
+         {"Smooth": {"window_frac": 0.035228576634956175},
+          "NegSpiky": {"amplitude": 0.7791332226829212, "count": 4}},
+         1818781966585499162),
+    24: ("InvExpGrowth", {"steepness": 3.2155319469174315},
+         {"PosNegSpiky": {"amplitude": 0.6712376353432813, "count": 2}},
+         7566552486738508620),
+    6: ("InvExpDecay", {"steepness": 3.0298126094400155},
+        {},
+        6271133543343943739),
+    1: ("Sigmoid", {"steepness": 19.25695544488903, "center": 0.3932478838158901},
+        {},
+        254187954446631216),
+    16: ("InvSigmoid", {"steepness": 11.461162182352783, "center": 0.37822214763845735},
+         {"Steppy": {"count": 3},
+          "PosNegSpiky": {"amplitude": 0.7012104814329521, "count": 1}},
+         6415998164843139753),
+    19: ("Cubic", {"center": 0.5851738689633408},
+         {"Noisy": {"magnitude": 0.07702187185513701}},
+         8451834470027323439),
+    12: ("NegCubic", {"center": 0.5893505885718848},
+         {"Noisy": {"magnitude": 0.1306811346881484},
+          "Steppy": {"count": 2},
+          "NegSpiky": {"amplitude": 0.7481546868523402, "count": 2},
+          "PosNegSpiky": {"amplitude": 0.5707330808593971, "count": 5}},
+         985529052932871145),
+    5: ("Gaussian", {"center": 0.6539703948682469, "width": 0.17883139026053552},
+        {"Noisy": {"magnitude": 0.0742688160717454},
+         "PosSpiky": {"amplitude": 0.324378855363584, "count": 5}},
+        2162974836438629302),
+    4: ("InvGaussian", {"center": 0.5056637764071807, "width": 0.29406092642692605},
+        {"Noisy": {"magnitude": 0.32331012439776335},
+         "PosSpiky": {"amplitude": 0.7358176370938282, "count": 5}},
+        4400964469065254490),
+    10: ("Sinusoidal", {"periods": 8, "phase": 1.304903297657757},
+         {"Smooth": {"window_frac": 0.030512184657462596},
+          "Steppy": {"count": 2}},
+         7612352449845629098),
+    2: ("Square", {"periods": 3},
+        {"Noisy": {"magnitude": 0.41640158326742616},
+         "Smooth": {"window_frac": 0.03400402103862616},
+         "PosSpiky": {"amplitude": 0.3275733136665341, "count": 3}},
+        1384080083157576384),
+    0: ("Sawtooth", {"periods": 6},
+        {"Noisy": {"magnitude": 0.06843808577128761},
+         "Smooth": {"window_frac": 0.0425308095680109}},
+        8624520845998120949),
+    7: ("ReverseSawtooth", {"periods": 6},
+        {"Steppy": {"count": 1},
+         "NegSpiky": {"amplitude": 0.7106142091913832, "count": 2}},
+        4315938159125732496),
+    39: ("Triangle", {"periods": 3},
+         {"Smooth": {"window_frac": 0.022255462736866363},
+          "NegSpiky": {"amplitude": 0.41458193334963306, "count": 4}},
+         7052501897564580411),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_SPECS))
+def test_sample_spec_stream_is_pinned(seed):
+    spec = sample_spec(seed)
+    got = (spec.base_shape, spec.shape_params, spec.overlays, spec.seed)
+    assert repr(got) == repr(PINNED_SPECS[seed])  # repr also tells 3 from 3.0
+
+
 def test_sampled_specs_generate():
     for seed in range(50):
         spec = sample_spec(seed, length=256)
