@@ -8,13 +8,12 @@ pipeline falls back to the base caption whenever the service is unavailable.
 
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-import requests
-
 from .annotator import TimeSeriesClass, sorted_classes
-from .errors import EmptyCompletion, ProtocolError, Unavailable
+from .errors import EmptyCompletion, ProtocolError, ServiceError, Unavailable
 
 #: One template sentence per class.  Rising and Smooth are the reference
 #: wordings; the rest follow the same surface pattern.
@@ -54,7 +53,7 @@ REPHRASE_INSTRUCTION = (
 ENDPOINT_ENV = "TACO_LLM_ENDPOINT"
 MODEL_ENV = "TACO_LLM_MODEL"
 
-#: Default cap on concurrent rephrase requests.
+#: Default cap on concurrent rephrase calls.
 DEFAULT_IN_FLIGHT = 4
 
 
@@ -95,14 +94,19 @@ def _extract_completion(body: dict) -> str:
 
 
 def rephrase(text: str, endpoint: str | None = None, model: str | None = None,
-             seed: int = 0, timeout: float = 30.0) -> str:
+             timeout: float = 30.0) -> str:
     """Ask a chat-completion endpoint to rephrase a base caption.
 
-    The request pins temperature 0 and a fixed seed so endpoints that honor
-    them produce repeatable output.  Raises :class:`Unavailable` on network
-    failure (callers fall back to the base text), :class:`ProtocolError` on a
-    malformed body and :class:`EmptyCompletion` on an empty completion.
+    The request pins temperature 0 and seed 0 so endpoints that honor them
+    produce repeatable output.  Raises :class:`Unavailable` on a missing or
+    bad URL, a network error, a timeout or a non-2xx reply (callers fall back
+    to the base text), :class:`ProtocolError` on a malformed body and
+    :class:`EmptyCompletion` on an empty completion.
     """
+    # imported here so that commands which never rephrase never load HTTP
+    import http.client
+    import urllib.request
+
     endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
     model = model or os.environ.get(MODEL_ENV, "")
     if not endpoint:
@@ -113,15 +117,18 @@ def rephrase(text: str, endpoint: str | None = None, model: str | None = None,
             {"role": "user", "content": f"{REPHRASE_INSTRUCTION}\n{text}"},
         ],
         "temperature": 0,
-        "seed": seed,
+        "seed": 0,
     }
     try:
-        response = requests.post(endpoint, json=payload, timeout=timeout)
-        response.raise_for_status()
-    except requests.RequestException as exc:
+        request = urllib.request.Request(
+            endpoint, data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"}, method="POST")
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            raw = response.read()
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise Unavailable(f"rephrase endpoint failed: {exc}") from exc
     try:
-        body = response.json()
+        body = json.loads(raw)
     except ValueError as exc:
         raise ProtocolError(f"response is not JSON: {exc}") from exc
     completion = _extract_completion(body).strip()
@@ -131,7 +138,7 @@ def rephrase(text: str, endpoint: str | None = None, model: str | None = None,
 
 
 def rephrase_many(texts, endpoint: str | None = None, model: str | None = None,
-                  seed: int = 0, max_in_flight: int = DEFAULT_IN_FLIGHT,
+                  max_in_flight: int = DEFAULT_IN_FLIGHT,
                   timeout: float = 30.0) -> list[str | None]:
     """Rephrase a batch of captions with a bounded number of in-flight calls.
 
@@ -139,18 +146,11 @@ def rephrase_many(texts, endpoint: str | None = None, model: str | None = None,
     failed call yields None in its slot so the caller can fall back to the
     base caption for that record only.
     """
-    texts = list(texts)
-    results: list[str | None] = [None] * len(texts)
-    if not texts:
-        return results
-    with ThreadPoolExecutor(max_workers=max(1, max_in_flight)) as pool:
-        futures = {
-            pool.submit(rephrase, text, endpoint, model, seed, timeout): i
-            for i, text in enumerate(texts)
-        }
-        for future, i in futures.items():
-            try:
-                results[i] = future.result()
-            except (Unavailable, ProtocolError, EmptyCompletion):
-                results[i] = None
-    return results
+    def attempt(text):
+        try:
+            return rephrase(text, endpoint, model, timeout)
+        except ServiceError:
+            return None
+
+    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+        return list(pool.map(attempt, texts))

@@ -23,13 +23,7 @@ from .captioner import (
     rephrase,
     rephrase_many,
 )
-from .errors import (
-    EmptyCompletion,
-    InvalidArgument,
-    ProtocolError,
-    TacoError,
-    Unavailable,
-)
+from .errors import InvalidArgument, ServiceError, TacoError
 from .evalkit import (
     evaluate_corpus,
     load_index,
@@ -45,6 +39,7 @@ from .pipeline import (
     write_atomic,
     write_jsonl,
 )
+from .signal import MIN_SERIES_LEN
 from .synth import OVERLAY_NAMES, SHAPE_NAMES
 
 EXIT_OK = 0
@@ -70,6 +65,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_help(sys.stderr)
         print(f"\nerror: {message}", file=sys.stderr)
         raise _UsageError(message)
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
 
 
 def _load_params(path: str | None) -> DetectorParams:
@@ -170,7 +176,7 @@ def _cmd_caption(args) -> int:
         rephrased = rephrase_many(
             [row["caption_base"] for row in rows],
             endpoint=args.endpoint, model=args.model,
-            max_in_flight=args.jobs or DEFAULT_IN_FLIGHT)
+            max_in_flight=args.jobs)
         for row, new in zip(rows, rephrased):
             row["caption_rephrased"] = new
     write_jsonl(rows, args.out)
@@ -178,6 +184,10 @@ def _cmd_caption(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.annotate_also and args.length < MIN_SERIES_LEN:
+        print(f"error: --annotate-also needs --length of at least {MIN_SERIES_LEN}, "
+              f"got {args.length}", file=sys.stderr)
+        return EXIT_USAGE
     params = _load_params(args.params)
     cfg = load_config(args.config)
     constraints = ([s.strip() for s in args.shapes.split(",") if s.strip()]
@@ -267,15 +277,15 @@ def build_parser() -> _Parser:
                    help="comma-separated class names, e.g. Rising,Smooth")
     p.add_argument("--input", default=None,
                    help="JSONL with class lists (one caption per record)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="max in-flight rephrase requests")
+    p.add_argument("--jobs", type=_int_at_least(1), default=DEFAULT_IN_FLIGHT,
+                   help=f"max rephrase calls in flight (default {DEFAULT_IN_FLIGHT})")
     p.add_argument("--out", default=None, help="output JSONL (default: stdout)")
     p.set_defaults(func=_cmd_caption)
 
     p = sub.add_parser("synth", help="generate labeled synthetic signals")
     _add_config_flags(p)
     p.add_argument("--count", type=int, required=True, help="number of records")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed")
     p.add_argument("--length", type=int, default=2048, help="samples per signal")
     p.add_argument("--shapes", default=None,
                    help="comma-separated shape subset to sample from")
@@ -290,7 +300,7 @@ def build_parser() -> _Parser:
     _add_ingest_flags(p)
     _add_config_flags(p)
     _add_rephrase_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes")
     p.add_argument("--no-values", action="store_true",
                    help="omit value vectors from records")
     p.add_argument("--skip-log", default=None,
@@ -323,7 +333,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except _UsageError:
         return EXIT_USAGE
-    except (Unavailable, ProtocolError, EmptyCompletion) as exc:
+    except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SERVICE
     except (TacoError, OSError) as exc:

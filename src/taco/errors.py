@@ -57,13 +57,17 @@ class AlignmentError(TacoError):
         self.ids = ids or []
 
 
-class Unavailable(TacoError):
+class ServiceError(TacoError):
+    """The rephrasing endpoint failed; the CLI exits 3."""
+
+
+class Unavailable(ServiceError):
     """Rephrasing endpoint could not be reached."""
 
 
-class ProtocolError(TacoError):
+class ProtocolError(ServiceError):
     """Rephrasing endpoint returned a malformed response body."""
 
 
-class EmptyCompletion(TacoError):
+class EmptyCompletion(ServiceError):
     """Rephrasing endpoint returned an empty completion."""

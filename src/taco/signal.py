@@ -132,22 +132,6 @@ def segment(s, k: int) -> np.ndarray:
     return v[:k * m].reshape(k, m)
 
 
-def wasserstein1(a, b) -> float:
-    """W1 distance between two equal-size empirical sample sets.
-
-    For equal sample counts this is exactly the mean absolute difference of
-    the two sorted sequences.
-    """
-    av = signal_values(a)
-    bv = signal_values(b)
-    if av.size == 0 or bv.size == 0:
-        raise InvalidArgument("sample sets must be non-empty")
-    if av.size != bv.size:
-        raise InvalidArgument(
-            f"sample sets must have equal size, got {av.size} and {bv.size}")
-    return float(np.abs(np.sort(av) - np.sort(bv)).mean())
-
-
 def polyfit(s: NormalizedSeries, degree: int) -> tuple[np.ndarray, float]:
     """Least-squares polynomial fit against the uniform grid on [0, 1].
 

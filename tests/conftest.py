@@ -12,7 +12,9 @@ class MockLLMHandler(BaseHTTPRequestHandler):
     """Configurable stand-in for a chat-completion endpoint.
 
     The serving mode lives on the server instance (``server.mode``):
-    echo, tag (deterministic per-request output), text-field, empty, missing.
+    echo, tag (deterministic per-request output), text-field, empty, missing,
+    status-500 (a JSON error body with HTTP 500), not-json (a 200 whose body
+    is not JSON) and slow (the echo reply after a 0.6 s pause).
     """
 
     fixed_reply = "A steadily climbing, gentle signal."
@@ -21,7 +23,10 @@ class MockLLMHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         request = json.loads(self.rfile.read(length))
         content = request["messages"][0]["content"]
-        if self.server.mode == "echo":
+        status = 200
+        if self.server.mode == "slow":
+            time.sleep(0.6)
+        if self.server.mode in ("echo", "slow"):
             body = {"choices": [{"message": {"content": self.fixed_reply}}]}
         elif self.server.mode == "tag":
             caption = content.split("\n", 1)[1]
@@ -31,10 +36,14 @@ class MockLLMHandler(BaseHTTPRequestHandler):
             body = {"choices": [{"text": self.fixed_reply}]}
         elif self.server.mode == "empty":
             body = {"choices": [{"message": {"content": "   "}}]}
+        elif self.server.mode == "status-500":
+            status, body = 500, {"error": "internal"}
+        elif self.server.mode == "not-json":
+            body = "<html>not json</html>"
         else:  # missing completion field
             body = {"result": "nope"}
-        payload = json.dumps(body).encode("utf-8")
-        self.send_response(200)
+        payload = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()

@@ -1,6 +1,12 @@
 """Caption templates and the optional HTTP rephrasing step."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import taco
 
 from taco.annotator import TimeSeriesClass
 from taco.captioner import (
@@ -119,3 +125,29 @@ def test_rephrase_many_fallback_slots():
     results = rephrase_many(["a", "b"], endpoint="http://127.0.0.1:9/x",
                             model="m", timeout=2)
     assert results == [None, None]
+
+
+@pytest.mark.parametrize("mode, endpoint, error", [
+    ("status-500", None, Unavailable),
+    ("not-json", None, ProtocolError),
+    ("slow", None, Unavailable),
+    ("echo", "notaurl", Unavailable),
+], ids=["status-500", "not-json", "timeout", "malformed-url"])
+def test_rephrase_error_mapping(mode, endpoint, error, mock_endpoint):
+    server, url = mock_endpoint
+    server.mode = mode
+    with pytest.raises(error):
+        rephrase("x", endpoint=endpoint or url, model="m", timeout=0.2)
+
+
+def test_cli_import_loads_no_http_modules():
+    # rephrasing imports its HTTP client on first use, so other commands never pay for it
+    src = os.path.dirname(os.path.dirname(taco.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, taco.cli; "
+             "print([m for m in ('requests', 'urllib.request', 'http.client') "
+             "if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -228,6 +228,34 @@ def test_output_error_names_given_path(command, tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["dataset", "--jobs", "0"], "--jobs: must be at least 1, got 0"),
+    (["dataset", "--jobs", "-3"], "--jobs: must be at least 1, got -3"),
+    (["caption", "--classes", "Rising", "--jobs", "0"], "--jobs: must be at least 1"),
+    (["caption", "--classes", "Rising", "--jobs", "-3"], "--jobs: must be at least 1"),
+    (["synth", "--count", "2", "--seed", "-1"], "--seed: must be at least 0, got -1"),
+    (["synth", "--count", "2", "--length", "8", "--annotate-also"],
+     "--annotate-also needs --length of at least 16, got 8"),
+], ids=["dataset-jobs-0", "dataset-jobs-negative", "caption-jobs-0",
+        "caption-jobs-negative", "synth-seed-negative", "synth-annotate-short-length"])
+def test_out_of_range_flags_exit_one(argv, message, ramp_csv, tmp_path, capsys):
+    if argv[0] == "dataset":
+        argv = argv + ["--input", ramp_csv]
+    out = tmp_path / "out.jsonl"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and message in last
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_synth_short_length_without_annotation_accepted(tmp_path):
+    out = tmp_path / "s.jsonl"
+    assert main(["synth", "--count", "2", "--length", "8", "--out", str(out)]) == EXIT_OK
+    assert [len(r.values) for r in read_jsonl(out)] == [8, 8]
+
+
 def _index_with_null(tmp_path):
     rows = [{"id": f"t{i}", "caption_base": f"cap {i}", "values": [float(i)] * 16}
             for i in range(3)]

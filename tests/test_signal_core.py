@@ -16,7 +16,6 @@ from taco.signal import (
     polyfit,
     resample_linear,
     segment,
-    wasserstein1,
 )
 
 
@@ -25,7 +24,6 @@ from oracles import (
     linear_fit_mse_oracle,
     median_filter_oracle,
     quadratic_fit_mse_oracle,
-    w1_oracle,
 )
 
 
@@ -134,45 +132,6 @@ def test_segment_slices_are_ordered_and_disjoint():
     segs = list(segment(v, 7))
     joined = np.concatenate(segs)
     assert np.array_equal(joined, v[:len(joined)])
-
-
-# ---------------------------------------------------------------------------
-# wasserstein1
-# ---------------------------------------------------------------------------
-
-def test_w1_identity():
-    v = [0.3, 0.7, 0.1]
-    assert wasserstein1(v, v) == 0.0
-
-
-def test_w1_point_masses():
-    assert wasserstein1([0.0] * 5, [1.0] * 5) == 1.0
-
-
-def test_w1_derived_example():
-    got = wasserstein1([0.0, 0.5, 1.0], [0.1, 0.5, 0.9])
-    assert got == pytest.approx(0.06666666666666668, abs=1e-12)
-    assert got == pytest.approx(w1_oracle([0.0, 0.5, 1.0], [0.1, 0.5, 0.9]), abs=1e-15)
-
-
-def test_w1_rejects_empty_and_unequal():
-    with pytest.raises(InvalidArgument):
-        wasserstein1([], [])
-    with pytest.raises(InvalidArgument):
-        wasserstein1([1.0], [1.0, 2.0])
-
-
-def test_w1_metric_axioms_against_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        m = int(rng.integers(1, 9))
-        a, b, c = rng.uniform(-2, 2, (3, m))
-        dab = wasserstein1(a, b)
-        assert dab == pytest.approx(w1_oracle(a, b), abs=1e-12)
-        assert dab >= 0.0
-        assert dab == pytest.approx(wasserstein1(b, a), abs=1e-15)
-        assert wasserstein1(a, a) == 0.0
-        assert wasserstein1(a, c) <= dab + wasserstein1(b, c) + 1e-12
 
 
 # ---------------------------------------------------------------------------
