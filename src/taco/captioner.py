@@ -56,6 +56,9 @@ MODEL_ENV = "TACO_LLM_MODEL"
 #: Default cap on concurrent rephrase calls.
 DEFAULT_IN_FLIGHT = 4
 
+#: Seconds one rephrase call may take before it counts as unavailable.
+REPHRASE_TIMEOUT_S = 30.0
+
 
 def base_caption(classes) -> str:
     """Concatenate the class templates in canonical order.
@@ -93,8 +96,16 @@ def _extract_completion(body: dict) -> str:
     raise ProtocolError("completion entry has neither message.content nor text")
 
 
-def rephrase(text: str, endpoint: str | None = None, model: str | None = None,
-             timeout: float = 30.0) -> str:
+def _resolve_endpoint(endpoint: str | None) -> str:
+    """The given endpoint, else ``$TACO_LLM_ENDPOINT``; :class:`Unavailable`
+    when neither is set."""
+    endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
+    if not endpoint:
+        raise Unavailable(f"no rephrase endpoint configured ({ENDPOINT_ENV} unset)")
+    return endpoint
+
+
+def rephrase(text: str, endpoint: str | None = None, model: str | None = None) -> str:
     """Ask a chat-completion endpoint to rephrase a base caption.
 
     The request pins temperature 0 and seed 0 so endpoints that honor them
@@ -107,10 +118,8 @@ def rephrase(text: str, endpoint: str | None = None, model: str | None = None,
     import http.client
     import urllib.request
 
-    endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
+    endpoint = _resolve_endpoint(endpoint)
     model = model or os.environ.get(MODEL_ENV, "")
-    if not endpoint:
-        raise Unavailable(f"no rephrase endpoint configured ({ENDPOINT_ENV} unset)")
     payload = {
         "model": model,
         "messages": [
@@ -123,7 +132,7 @@ def rephrase(text: str, endpoint: str | None = None, model: str | None = None,
         request = urllib.request.Request(
             endpoint, data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json"}, method="POST")
-        with urllib.request.urlopen(request, timeout=timeout) as response:
+        with urllib.request.urlopen(request, timeout=REPHRASE_TIMEOUT_S) as response:
             raw = response.read()
     except (OSError, http.client.HTTPException, ValueError) as exc:
         raise Unavailable(f"rephrase endpoint failed: {exc}") from exc
@@ -138,17 +147,19 @@ def rephrase(text: str, endpoint: str | None = None, model: str | None = None,
 
 
 def rephrase_many(texts, endpoint: str | None = None, model: str | None = None,
-                  max_in_flight: int = DEFAULT_IN_FLIGHT,
-                  timeout: float = 30.0) -> list[str | None]:
+                  max_in_flight: int = DEFAULT_IN_FLIGHT) -> list[str | None]:
     """Rephrase a batch of captions with a bounded number of in-flight calls.
 
     Results are matched to inputs by position, never by arrival order.  A
     failed call yields None in its slot so the caller can fall back to the
-    base caption for that record only.
+    base caption for that record only.  With no endpoint configured it
+    raises :class:`Unavailable` once, before any request.
     """
+    endpoint = _resolve_endpoint(endpoint)
+
     def attempt(text):
         try:
-            return rephrase(text, endpoint, model, timeout)
+            return rephrase(text, endpoint, model)
         except ServiceError:
             return None
 

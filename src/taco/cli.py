@@ -11,19 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .annotator import DetectorParams, TimeSeriesClass, load_config
-from .captioner import (
-    DEFAULT_IN_FLIGHT,
-    ENDPOINT_ENV,
-    base_caption,
-    rephrase,
-    rephrase_many,
-)
-from .errors import InvalidArgument, ServiceError, TacoError
+from .captioner import DEFAULT_IN_FLIGHT, base_caption, rephrase, rephrase_many
+from .errors import InvalidArgument, ServiceError, TacoError, Unavailable
 from .evalkit import (
     evaluate_corpus,
     load_index,
@@ -131,6 +125,21 @@ def _add_rephrase_flags(parser) -> None:
                         help="rephrase model name (default: $TACO_LLM_MODEL)")
 
 
+def _rephrase_all(captions: list, args, in_flight: int) -> list:
+    """Rephrase finished base captions; a slot whose call failed holds None.
+
+    With no endpoint configured, every slot is None and one warning line
+    says so; no request is made.
+    """
+    try:
+        return rephrase_many(captions, endpoint=args.endpoint, model=args.model,
+                             max_in_flight=in_flight)
+    except Unavailable as exc:
+        print(f"--rephrase requested but {exc}; emitting base captions only",
+              file=sys.stderr)
+        return [None] * len(captions)
+
+
 def _ingest_spec(args) -> IngestSpec:
     return IngestSpec(
         inputs=tuple(args.input),
@@ -173,10 +182,7 @@ def _cmd_caption(args) -> int:
                    if n not in _FORWARD_ONLY_NAMES}
         rows.append({"id": record.id, "caption_base": base_caption(classes)})
     if args.rephrase:
-        rephrased = rephrase_many(
-            [row["caption_base"] for row in rows],
-            endpoint=args.endpoint, model=args.model,
-            max_in_flight=args.jobs)
+        rephrased = _rephrase_all([row["caption_base"] for row in rows], args, args.jobs)
         for row, new in zip(rows, rephrased):
             row["caption_rephrased"] = new
     write_jsonl(rows, args.out)
@@ -209,23 +215,12 @@ def _cmd_synth(args) -> int:
 def _cmd_dataset(args) -> int:
     params = _load_params(args.params)
     cfg = load_config(args.config)
-    spec = _ingest_spec(args)
-    endpoint = None
+    records, skips = build_dataset(_ingest_spec(args), params, cfg, jobs=args.jobs,
+                                   include_values=not args.no_values)
     if args.rephrase:
-        endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
-        if not endpoint:
-            print(f"--rephrase requested but no endpoint configured "
-                  f"(set {ENDPOINT_ENV}); emitting base captions only",
-                  file=sys.stderr)
-    records, skips = build_dataset(
-        spec,
-        params=params,
-        cfg=cfg,
-        rephrase_endpoint=endpoint,
-        rephrase_model=args.model,
-        jobs=args.jobs,
-        include_values=not args.no_values,
-    )
+        rephrased = _rephrase_all([r.caption_base for r in records], args,
+                                  DEFAULT_IN_FLIGHT)
+        records = [replace(r, caption_rephrased=new) for r, new in zip(records, rephrased)]
     write_jsonl(records, args.out)
     _report_skips(skips, args.skip_log
                   or (f"{args.out}.skipped.jsonl" if args.out else None))

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .annotator import (
     config_digest,
     default_config,
 )
-from .captioner import base_caption, rephrase_many
+from .captioner import base_caption
 from .errors import InvalidArgument, ParseError, TacoError
 from .signal import MIN_SERIES_LEN, Series, minmax_normalize, resample_linear
 from .synth import generate, sample_spec
@@ -75,7 +75,7 @@ class DatasetRecord:
         )
 
     def caption(self) -> str:
-        """The effective caption: rephrased when present, base otherwise."""
+        """The effective caption: ``caption_rephrased`` when set, else ``caption_base``."""
         return self.caption_rephrased or self.caption_base
 
 
@@ -213,8 +213,6 @@ def _run_ordered(worker, items, jobs: int):
 
 def build_dataset(spec: IngestSpec, params: DetectorParams | None = None,
                   cfg: ThresholdConfig | None = None,
-                  rephrase_endpoint: str | None = None,
-                  rephrase_model: str | None = None,
                   jobs: int = 1,
                   include_values: bool = True):
     """Build caption records for every CSV window.
@@ -234,14 +232,6 @@ def build_dataset(spec: IngestSpec, params: DetectorParams | None = None,
     outcomes = _run_ordered(_process_window, tasks, jobs)
     records = [out[1] for out in outcomes if out[0] == "ok"]
     skips = [{"source": out[1], "reason": out[2]} for out in outcomes if out[0] == "skip"]
-    if rephrase_endpoint and records:
-        rephrased = rephrase_many(
-            [r.caption_base for r in records],
-            endpoint=rephrase_endpoint, model=rephrase_model or "")
-        records = [
-            replace(r, caption_rephrased=new)
-            for r, new in zip(records, rephrased)
-        ]
     return records, skips
 
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import taco
+import taco.captioner
 
 from taco.annotator import TimeSeriesClass
 from taco.captioner import (
@@ -79,15 +80,22 @@ def test_rephrase_accepts_plain_text_field(mock_endpoint):
     assert rephrase("x", endpoint=url, model="m") == MockLLMHandler.fixed_reply
 
 
-def test_rephrase_unreachable_endpoint():
+def test_rephrase_unreachable_endpoint(monkeypatch):
+    monkeypatch.setattr(taco.captioner, "REPHRASE_TIMEOUT_S", 2.0)
     with pytest.raises(Unavailable):
-        rephrase("x", endpoint="http://127.0.0.1:9/nothing", model="m", timeout=2)
+        rephrase("x", endpoint="http://127.0.0.1:9/nothing", model="m")
 
 
 def test_rephrase_requires_endpoint(monkeypatch):
     monkeypatch.delenv("TACO_LLM_ENDPOINT", raising=False)
     with pytest.raises(Unavailable):
         rephrase("x")
+    # a batch fails once, before any request, instead of once per caption
+    calls = []
+    monkeypatch.setattr(taco.captioner, "rephrase", lambda *args: calls.append(args))
+    with pytest.raises(Unavailable):
+        rephrase_many(["x", "y"])
+    assert calls == []
 
 
 def test_rephrase_missing_completion(mock_endpoint):
@@ -121,9 +129,9 @@ def test_rephrase_many_matches_by_position(mock_endpoint):
     assert results == [f"rephrased::{t}" for t in texts]
 
 
-def test_rephrase_many_fallback_slots():
-    results = rephrase_many(["a", "b"], endpoint="http://127.0.0.1:9/x",
-                            model="m", timeout=2)
+def test_rephrase_many_fallback_slots(monkeypatch):
+    monkeypatch.setattr(taco.captioner, "REPHRASE_TIMEOUT_S", 2.0)
+    results = rephrase_many(["a", "b"], endpoint="http://127.0.0.1:9/x", model="m")
     assert results == [None, None]
 
 
@@ -133,11 +141,12 @@ def test_rephrase_many_fallback_slots():
     ("slow", None, Unavailable),
     ("echo", "notaurl", Unavailable),
 ], ids=["status-500", "not-json", "timeout", "malformed-url"])
-def test_rephrase_error_mapping(mode, endpoint, error, mock_endpoint):
+def test_rephrase_error_mapping(mode, endpoint, error, mock_endpoint, monkeypatch):
     server, url = mock_endpoint
     server.mode = mode
+    monkeypatch.setattr(taco.captioner, "REPHRASE_TIMEOUT_S", 0.2)
     with pytest.raises(error):
-        rephrase("x", endpoint=endpoint or url, model="m", timeout=0.2)
+        rephrase("x", endpoint=endpoint or url, model="m")
 
 
 def test_cli_import_loads_no_http_modules():

@@ -6,10 +6,13 @@ import json
 import numpy as np
 import pytest
 
+import taco.captioner
 from taco.annotator import TimeSeriesClass, default_config
 from taco.captioner import classes_from_caption
 from taco.cli import EXIT_DATA, EXIT_OK, EXIT_SERVICE, EXIT_USAGE, main
 from taco.pipeline import read_jsonl, write_jsonl
+
+from conftest import MockLLMHandler
 
 
 @pytest.fixture()
@@ -72,6 +75,53 @@ def test_caption_rephrase_unreachable_exits_three(monkeypatch):
     code = main(["caption", "--classes", "Rising", "--rephrase",
                  "--endpoint", "http://127.0.0.1:9/x"])
     assert code == EXIT_SERVICE
+
+
+def _rephrase_argv(command, ramp_csv, tmp_path):
+    """``dataset`` or ``caption --input`` with ``--rephrase``; two captions each."""
+    if command == "dataset":
+        return ["dataset", "--input", ramp_csv, "--rephrase"]
+    path = tmp_path / "ann.jsonl"
+    write_jsonl([{"id": "a", "classes": ["Rising"]}, {"id": "b", "classes": []}], path)
+    return ["caption", "--input", str(path), "--rephrase"]
+
+
+def test_dataset_rephrase_fills_records(ramp_csv, mock_endpoint, tmp_path, capsys):
+    _, url = mock_endpoint
+    out = tmp_path / "d.jsonl"
+    argv = _rephrase_argv("dataset", ramp_csv, tmp_path) + ["--endpoint", url]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    records = read_jsonl(out)
+    assert [r.caption_rephrased for r in records] == [MockLLMHandler.fixed_reply] * 2
+    assert records[0].caption() == records[0].caption_rephrased
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["dataset", "caption"])
+def test_rephrase_unreachable_endpoint_writes_null(command, ramp_csv, tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(taco.captioner, "REPHRASE_TIMEOUT_S", 2.0)
+    out = tmp_path / "out.jsonl"
+    argv = _rephrase_argv(command, ramp_csv, tmp_path) + ["--endpoint", "http://127.0.0.1:9/x"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    records = read_jsonl(out)
+    assert [r.caption_rephrased for r in records] == [None, None]
+    assert records[0].caption() == records[0].caption_base
+
+
+@pytest.mark.parametrize("command", ["dataset", "caption"])
+def test_rephrase_without_endpoint_warns_once(command, ramp_csv, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.delenv("TACO_LLM_ENDPOINT", raising=False)
+    calls = []
+    monkeypatch.setattr(taco.captioner, "rephrase", lambda *args: calls.append(args))
+    out = tmp_path / "out.jsonl"
+    assert main(_rephrase_argv(command, ramp_csv, tmp_path) + ["--out", str(out)]) == EXIT_OK
+    assert [r.caption_rephrased for r in read_jsonl(out)] == [None, None]
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "--rephrase requested but no rephrase endpoint configured "
+        "(TACO_LLM_ENDPOINT unset); emitting base captions only\n")
 
 
 def test_caption_batch_from_annotations(tmp_path, capsys):

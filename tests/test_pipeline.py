@@ -174,21 +174,6 @@ def test_build_dataset_no_values(ramp_csv):
     assert records[0].values is None
 
 
-def test_build_dataset_rephrase_fills_records(ramp_csv, mock_endpoint):
-    server, url = mock_endpoint
-    records, _ = build_dataset(IngestSpec(inputs=(ramp_csv,)),
-                               rephrase_endpoint=url, rephrase_model="m")
-    assert records[0].caption_rephrased == "A steadily climbing, gentle signal."
-    assert records[0].caption() == records[0].caption_rephrased
-
-
-def test_build_dataset_rephrase_falls_back_per_record(ramp_csv):
-    records, _ = build_dataset(IngestSpec(inputs=(ramp_csv,)),
-                               rephrase_endpoint="http://127.0.0.1:9/x")
-    assert records[0].caption_rephrased is None
-    assert records[0].caption() == records[0].caption_base
-
-
 # ---------------------------------------------------------------------------
 # build_forward_dataset
 # ---------------------------------------------------------------------------
