@@ -128,16 +128,21 @@ def _add_rephrase_flags(parser) -> None:
 def _rephrase_all(captions: list, args, in_flight: int) -> list:
     """Rephrase finished base captions; a slot whose call failed holds None.
 
-    With no endpoint configured, every slot is None and one warning line
-    says so; no request is made.
+    One stderr line reports failures: with no endpoint configured every slot
+    is None and no request is made, else the line counts the failed calls.
     """
     try:
-        return rephrase_many(captions, endpoint=args.endpoint, model=args.model,
-                             max_in_flight=in_flight)
+        rephrased = rephrase_many(captions, endpoint=args.endpoint, model=args.model,
+                                  max_in_flight=in_flight)
     except Unavailable as exc:
         print(f"--rephrase requested but {exc}; emitting base captions only",
               file=sys.stderr)
         return [None] * len(captions)
+    failed = rephrased.count(None)
+    if failed:
+        print(f"rephrase failed for {failed} of {len(captions)} captions; "
+              f"caption_rephrased is null for them", file=sys.stderr)
+    return rephrased
 
 
 def _ingest_spec(args) -> IngestSpec:

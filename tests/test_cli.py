@@ -107,6 +107,8 @@ def test_rephrase_unreachable_endpoint_writes_null(command, ramp_csv, tmp_path, 
     records = read_jsonl(out)
     assert [r.caption_rephrased for r in records] == [None, None]
     assert records[0].caption() == records[0].caption_base
+    assert capsys.readouterr().err == (
+        "rephrase failed for 2 of 2 captions; caption_rephrased is null for them\n")
 
 
 @pytest.mark.parametrize("command", ["dataset", "caption"])
