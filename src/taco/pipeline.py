@@ -325,13 +325,23 @@ def _reject_constant(token: str):
 #: Refuses the ``NaN``/``Infinity`` tokens that ``write_jsonl`` never writes.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
+#: Record fields whose type :func:`read_jsonl` checks when present:
+#: name -> (test, what the field must be).
+_FIELD_TYPES = {
+    "classes": (lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+                "a list of strings"),
+    "scores": (lambda v: isinstance(v, dict), "an object"),
+    "caption_base": (lambda v: isinstance(v, str), "a string"),
+    "caption_rephrased": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
 
 def read_jsonl(path) -> list[DatasetRecord]:
     """Read a JSONL dataset file back into records.
 
-    Malformed lines (including a truncated final line and the non-finite
-    tokens ``NaN``, ``Infinity`` and ``-Infinity``) raise
-    :class:`ParseError` carrying the 1-based line number.
+    Malformed lines (including a truncated final line, the non-finite
+    tokens ``NaN``, ``Infinity`` and ``-Infinity``, and a field of the wrong
+    type) raise :class:`ParseError` carrying the 1-based line number.
     """
     records = []
     try:
@@ -353,5 +363,10 @@ def read_jsonl(path) -> list[DatasetRecord]:
                 raise ParseError(
                     f"{path}: expected a JSON object at line {line_num}",
                     line=line_num)
+            for name, (valid, expected) in _FIELD_TYPES.items():
+                if name in data and not valid(data[name]):
+                    raise ParseError(
+                        f"{path}: {name!r} must be {expected} at line {line_num}",
+                        line=line_num)
             records.append(DatasetRecord.from_json_dict(data))
     return records

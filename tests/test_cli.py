@@ -343,6 +343,17 @@ def _dataset_with(flag, body):
     return build
 
 
+def _jsonl_with(command, field, value):
+    def build(tmp_path):
+        path = tmp_path / "records.jsonl"
+        row = {"id": "a", "classes": ["Rising"], "caption_base": "x y z"}
+        write_jsonl([row, {**row, "id": "b", field: value}], path)
+        return {"caption": ["caption", "--input", str(path)],
+                "eval": ["eval", "--candidates", str(path), "--references", str(path)],
+                }[command]
+    return build
+
+
 def _rising_cutoff(cutoff):
     body = default_config().to_json_dict()
     body["Rising"]["cutoff"] = cutoff
@@ -360,10 +371,21 @@ def _rising_cutoff(cutoff):
     _nearnbr_with("query", "abc"),
     _nearnbr_with("query", [1.0]),
     _nearnbr_with("query", float("nan")),
+    _jsonl_with("caption", "classes", None),
+    _jsonl_with("caption", "classes", "Rising"),
+    _jsonl_with("caption", "classes", ["Rising", 3]),
+    _jsonl_with("caption", "scores", [1, 2]),
+    _jsonl_with("eval", "classes", None),
+    _jsonl_with("eval", "scores", [1, 2]),
+    _jsonl_with("eval", "caption_base", None),
+    _jsonl_with("eval", "caption_rephrased", 5),
 ], ids=["params-k-segments-string", "params-spike-sigma-null", "config-cutoff-string",
         "config-cutoff-null", "nearnbr-null-value", "nearnbr-index-string-value",
         "nearnbr-query-null-value", "nearnbr-query-string-value",
-        "nearnbr-query-nested-value", "nearnbr-query-nan-token"])
+        "nearnbr-query-nested-value", "nearnbr-query-nan-token",
+        "caption-classes-null", "caption-classes-string", "caption-classes-number-item",
+        "caption-scores-list", "eval-classes-null", "eval-scores-list",
+        "eval-caption-base-null", "eval-caption-rephrased-number"])
 def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(build(tmp_path) + ["--out", str(out)]) == EXIT_DATA
