@@ -101,11 +101,11 @@ def _add_ingest_flags(parser) -> None:
                         help="input CSV file (repeatable)")
     parser.add_argument("--column", action="append", default=None,
                         help="column to ingest (repeatable; default: all numeric)")
-    parser.add_argument("--window", type=int, default=300,
+    parser.add_argument("--window", type=_int_at_least(MIN_SERIES_LEN), default=300,
                         help="window length in samples (default 300)")
     parser.add_argument("--target-len", type=int, default=2048,
                         help="resampled length per window (default 2048)")
-    parser.add_argument("--stride", type=int, default=None,
+    parser.add_argument("--stride", type=_int_at_least(1), default=None,
                         help="window stride (default: window length)")
 
 
@@ -284,9 +284,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate labeled synthetic signals")
     _add_config_flags(p)
-    p.add_argument("--count", type=int, required=True, help="number of records")
+    p.add_argument("--count", type=_int_at_least(1), required=True,
+                   help="number of records")
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed")
-    p.add_argument("--length", type=int, default=2048, help="samples per signal")
+    p.add_argument("--length", type=_int_at_least(2), default=2048,
+                   help="samples per signal")
     p.add_argument("--shapes", default=None,
                    help="comma-separated shape subset to sample from")
     p.add_argument("--annotate-also", action="store_true",

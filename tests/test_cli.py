@@ -288,10 +288,18 @@ def test_output_error_names_given_path(command, tmp_path, capsys):
     (["synth", "--count", "2", "--seed", "-1"], "--seed: must be at least 0, got -1"),
     (["synth", "--count", "2", "--length", "8", "--annotate-also"],
      "--annotate-also needs --length of at least 16, got 8"),
+    (["synth", "--count", "0"], "--count: must be at least 1, got 0"),
+    (["synth", "--count", "2", "--length", "1"], "--length: must be at least 2, got 1"),
+    (["dataset", "--window", "8"], "--window: must be at least 16, got 8"),
+    (["annotate", "--window", "8"], "--window: must be at least 16, got 8"),
+    (["dataset", "--stride", "0"], "--stride: must be at least 1, got 0"),
+    (["annotate", "--stride", "-2"], "--stride: must be at least 1, got -2"),
 ], ids=["dataset-jobs-0", "dataset-jobs-negative", "caption-jobs-0",
-        "caption-jobs-negative", "synth-seed-negative", "synth-annotate-short-length"])
+        "caption-jobs-negative", "synth-seed-negative", "synth-annotate-short-length",
+        "synth-count-0", "synth-length-1", "dataset-window-short", "annotate-window-short",
+        "dataset-stride-0", "annotate-stride-negative"])
 def test_out_of_range_flags_exit_one(argv, message, ramp_csv, tmp_path, capsys):
-    if argv[0] == "dataset":
+    if argv[0] in ("dataset", "annotate"):
         argv = argv + ["--input", ramp_csv]
     out = tmp_path / "out.jsonl"
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
