@@ -58,7 +58,7 @@ class DatasetRecord:
             "caption_base": self.caption_base,
             "caption_rephrased": self.caption_rephrased,
             "config_digest": self.config_digest,
-            "values": None if self.values is None else [float(v) for v in self.values],
+            "values": None if self.values is None else list(self.values),
         }
 
     @classmethod
