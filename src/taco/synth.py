@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -153,11 +154,50 @@ def _shape_triangle(t, params):
     return 1.0 - np.abs(1.0 - 2.0 * _frac(p * t))
 
 
+def _spike_positions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    margin = max(1, int(round(SPIKE_EDGE_MARGIN * n)))
+    candidates = np.arange(margin, n - margin)
+    count = min(count, candidates.size)
+    return np.sort(rng.choice(candidates, size=count, replace=False))
+
+
+def _overlay_noisy(values, params, rng):
+    magnitude = float(params.get("magnitude", 0.2))
+    if not 0.0 <= magnitude <= 0.5:
+        raise InvalidSpec(f"noise magnitude must be in [0, 0.5], got {magnitude}")
+    return values + rng.uniform(-magnitude, magnitude, values.size)
+
+
+def _overlay_smooth(values, params, rng):
+    window = max(3, int(round(float(params.get("window_frac", 0.02)) * values.size)))
+    return moving_average(values, min(window, values.size))
+
+
+def _overlay_steppy(values, params, rng):
+    count = int(params.get("count", 2))
+    if count < 1:
+        raise InvalidSpec(f"step count must be >= 1, got {count}")
+    return np.round(values * count) / count
+
+
+def _overlay_spikes(values, params, rng, signs):
+    """Add ``count`` spikes of ``amplitude``; the k-th spike's sign is
+    ``signs[k % len(signs)]``."""
+    amplitude = float(params.get("amplitude", 0.5))
+    count = int(params.get("count", 3))
+    if count < 1:
+        raise InvalidSpec(f"spike count must be >= 1, got {count}")
+    out = values.copy()
+    positions = _spike_positions(rng, values.size, count)
+    out[positions] += np.resize(signs, positions.size) * amplitude
+    return out
+
+
 #: A base shape: its evaluator on the [0, 1] grid, its forward caption and
 #: its sampled knobs as ``name -> (lo, hi)`` in draw order.  An overlay has
-#: the same caption and knobs, and is applied by :func:`_apply_overlay`.
+#: the same three, its function taking ``(values, params, rng)``.
 _Shape = namedtuple("_Shape", "evaluate caption knobs")
-_Overlay = namedtuple("_Overlay", "caption knobs")
+_Overlay = namedtuple("_Overlay", "apply caption knobs")
 
 # Knob ranges shared by a family of shapes or of overlays.
 _CONVEX_KNOBS = {"center": (0.25, 0.75)}
@@ -208,12 +248,18 @@ _SHAPES = {
 
 #: Overlays in canonical (application and caption) order.
 _OVERLAYS = {
-    "Noisy": _Overlay("The signal contains a lot of noise.", {"magnitude": (0.05, 0.5)}),
-    "Smooth": _Overlay("The signal has a smooth shape.", {"window_frac": (0.01, 0.05)}),
-    "Steppy": _Overlay("The signal changes in step-like increments.", {"count": (1, 4)}),
-    "PosSpiky": _Overlay("The signal contains sudden positive spikes.", _SPIKE_KNOBS),
-    "NegSpiky": _Overlay("The signal contains sudden negative spikes.", _SPIKE_KNOBS),
+    "Noisy": _Overlay(_overlay_noisy, "The signal contains a lot of noise.",
+                      {"magnitude": (0.05, 0.5)}),
+    "Smooth": _Overlay(_overlay_smooth, "The signal has a smooth shape.",
+                       {"window_frac": (0.01, 0.05)}),
+    "Steppy": _Overlay(_overlay_steppy, "The signal changes in step-like increments.",
+                       {"count": (1, 4)}),
+    "PosSpiky": _Overlay(partial(_overlay_spikes, signs=(1.0,)),
+                         "The signal contains sudden positive spikes.", _SPIKE_KNOBS),
+    "NegSpiky": _Overlay(partial(_overlay_spikes, signs=(-1.0,)),
+                         "The signal contains sudden negative spikes.", _SPIKE_KNOBS),
     "PosNegSpiky": _Overlay(
+        partial(_overlay_spikes, signs=(1.0, -1.0)),
         "The signal contains sudden positive and negative spikes.", _SPIKE_KNOBS),
 }
 
@@ -221,46 +267,6 @@ _OVERLAYS = {
 SHAPE_NAMES = tuple(_SHAPES)
 OVERLAY_NAMES = tuple(_OVERLAYS)
 
-
-def _spike_positions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    margin = max(1, int(round(SPIKE_EDGE_MARGIN * n)))
-    candidates = np.arange(margin, n - margin)
-    count = min(count, candidates.size)
-    return np.sort(rng.choice(candidates, size=count, replace=False))
-
-
-def _apply_overlay(values: np.ndarray, name: str, params: dict,
-                   rng: np.random.Generator) -> np.ndarray:
-    n = values.size
-    if name == "Noisy":
-        magnitude = float(params.get("magnitude", 0.2))
-        if not 0.0 <= magnitude <= 0.5:
-            raise InvalidSpec(f"noise magnitude must be in [0, 0.5], got {magnitude}")
-        return values + rng.uniform(-magnitude, magnitude, n)
-    if name == "Smooth":
-        window = max(3, int(round(float(params.get("window_frac", 0.02)) * n)))
-        return moving_average(values, min(window, n))
-    if name == "Steppy":
-        count = int(params.get("count", 2))
-        if count < 1:
-            raise InvalidSpec(f"step count must be >= 1, got {count}")
-        return np.round(values * count) / count
-    if name in ("PosSpiky", "NegSpiky", "PosNegSpiky"):
-        amplitude = float(params.get("amplitude", 0.5))
-        count = int(params.get("count", 3))
-        if count < 1:
-            raise InvalidSpec(f"spike count must be >= 1, got {count}")
-        out = values.copy()
-        positions = _spike_positions(rng, n, count)
-        if name == "PosSpiky":
-            out[positions] += amplitude
-        elif name == "NegSpiky":
-            out[positions] -= amplitude
-        else:
-            signs = np.where(np.arange(positions.size) % 2 == 0, 1.0, -1.0)
-            out[positions] += signs * amplitude
-        return out
-    raise InvalidSpec(f"unknown overlay: {name!r}")
 
 
 def _validate_spec(spec: SynthSpec) -> None:
@@ -297,9 +303,9 @@ def generate(spec: SynthSpec) -> SynthRecord:
     t = np.linspace(0.0, 1.0, spec.length)
     values = np.asarray(_SHAPES[spec.base_shape].evaluate(t, spec.shape_params), dtype=float)
     rng = np.random.default_rng(spec.seed)
-    for name in OVERLAY_NAMES:
+    for name, overlay in _OVERLAYS.items():
         if name in spec.overlays:
-            values = _apply_overlay(values, name, spec.overlays[name], rng)
+            values = overlay.apply(values, spec.overlays[name], rng)
     names = forward_class_names(spec)
     return SynthRecord(values=values, forward_classes=names, caption=_caption(names))
 
