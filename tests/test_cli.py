@@ -356,9 +356,9 @@ def _jsonl_with(command, field, value):
         path = tmp_path / "records.jsonl"
         row = {"id": "a", "classes": ["Rising"], "caption_base": "x y z"}
         write_jsonl([row, {**row, "id": "b", field: value}], path)
-        return {"caption": ["caption", "--input", str(path)],
-                "eval": ["eval", "--candidates", str(path), "--references", str(path)],
-                }[command]
+        if command == "caption":
+            return ["caption", "--input", str(path)]
+        return ["eval", "--candidates", str(path), "--references", str(path)]
     return build
 
 

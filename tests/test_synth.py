@@ -84,6 +84,20 @@ def test_posneg_spikes_go_both_ways():
     assert (values < values.max() - 0.9).sum() >= 1
 
 
+@pytest.mark.parametrize("name, signs", [
+    ("PosSpiky", [1, 1, 1, 1]),
+    ("NegSpiky", [-1, -1, -1, -1]),
+    ("PosNegSpiky", [1, -1, 1, -1]),
+])
+def test_spike_overlay_sign_patterns(name, signs):
+    # spikes in position order carry the overlay's sign pattern, cycled
+    spec = SynthSpec("Constant", overlays={name: {"amplitude": 0.25, "count": 4}},
+                     length=500, seed=5)
+    offsets = generate(spec).values - 0.5
+    spiked = np.flatnonzero(offsets)
+    assert offsets[spiked].tolist() == [0.25 * s for s in signs]
+
+
 def test_steppy_quantizes_to_levels():
     spec = SynthSpec("LinearIncrease", overlays={"Steppy": {"count": 2}})
     values = generate(spec).values
