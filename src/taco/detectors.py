@@ -97,8 +97,7 @@ class DetectorParams:
             length = int(frac * n)
             length -= length % 2
             length = max(2, min(length, n - n % 2))
-            if length <= n:
-                lengths.add(length)
+            lengths.add(length)
         return sorted(lengths)
 
     def to_json_dict(self) -> dict:
@@ -123,7 +122,7 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """One raw score per detector family, plus the degenerate marker.
+    """One raw score per detector family.
 
     ``periodicity_gap`` may carry the +inf sentinel (:data:`NO_PERIOD`)
     when no candidate cycle exists; every other entry is finite.
@@ -143,7 +142,6 @@ class ScoreVector:
     symmetry_err: float
     step_response: float
     amplitude_var: float
-    degenerate: bool = False
 
     def as_dict(self) -> dict:
         """Scores keyed by canonical name (used for serialization)."""
@@ -161,7 +159,7 @@ class ScoreVector:
 
 
 #: Canonical score names, in the order they appear in serialized records.
-SCORE_NAMES = tuple(f.name for f in fields(ScoreVector) if f.name != "degenerate")
+SCORE_NAMES = tuple(f.name for f in fields(ScoreVector))
 
 
 #: Scores reported for a constant input: fits and tilings are bypassed, the
@@ -181,12 +179,7 @@ DEGENERATE_SCORES = ScoreVector(
     symmetry_err=0.0,
     step_response=0.0,
     amplitude_var=0.0,
-    degenerate=True,
 )
-
-
-def _is_constant(s, v: np.ndarray) -> bool:
-    return (isinstance(s, NormalizedSeries) and s.degenerate) or np.ptp(v) == 0.0
 
 
 def _mean_pairwise_w1(segs: np.ndarray) -> float:
@@ -208,7 +201,7 @@ def score_trend(s) -> float:
     monotone drift.
     """
     v = signal_values(s)
-    if _is_constant(s, v):
+    if np.ptp(v) == 0.0:
         raise Degenerate("score undefined on a constant signal")
     t = np.linspace(0.0, 1.0, v.size)
     return float(np.clip(np.corrcoef(t, v)[0, 1], -1.0, 1.0))
@@ -281,15 +274,13 @@ def score_complexity(s, p: DetectorParams) -> float:
     return _mean_pairwise_w1(_segments(np.diff(signal_values(s)), p))
 
 
-def _spikes(segs: np.ndarray, filtered: np.ndarray, p: DetectorParams,
-            direction: str) -> float:
+def _spikes(segs: np.ndarray, filtered: np.ndarray,
+            p: DetectorParams) -> tuple[float, float]:
     offset = p.spike_sigma * float(filtered.std())
     med = np.median(segs, axis=1)
-    if direction == "up":
-        excursions = segs.max(axis=1) - (med + offset)
-    else:
-        excursions = (med - offset) - segs.min(axis=1)
-    return float(excursions.max())
+    up = segs.max(axis=1) - (med + offset)
+    down = (med - offset) - segs.min(axis=1)
+    return float(up.max()), float(down.max())
 
 
 def score_spikes(s, p: DetectorParams, direction: str) -> float:
@@ -303,8 +294,8 @@ def score_spikes(s, p: DetectorParams, direction: str) -> float:
     if direction not in ("up", "down"):
         raise InvalidArgument(f"direction must be 'up' or 'down', got {direction!r}")
     v = signal_values(s)
-    return _spikes(_segments(v, p), median_filter(v, p.median_window(v.size)), p,
-                   direction)
+    up, down = _spikes(_segments(v, p), median_filter(v, p.median_window(v.size)), p)
+    return up if direction == "up" else down
 
 
 def _find_cycle_lag(r: np.ndarray) -> int | None:
@@ -381,8 +372,6 @@ def score_step(s, p: DetectorParams) -> float:
     csum = np.concatenate([[0.0], np.cumsum(v)])
     best = 0.0
     for length in p.kernel_lengths(n):
-        if length > n:
-            continue
         half = length // 2
         starts = np.arange(0, n - length + 1)
         first = (csum[starts + half] - csum[starts]) / half
@@ -405,8 +394,8 @@ def score_all(s: NormalizedSeries, p: DetectorParams | None = None) -> ScoreVect
 
     The work several families share (the two polynomial fits, the median
     filter, the segmentation and the autocorrelation) is done once per call.
-    A degenerate (constant) input bypasses the fit- and correlation-based
-    detectors and returns the documented sentinel vector.
+    A constant input bypasses the fit- and correlation-based detectors and
+    returns the documented sentinel vector.
     """
     if p is None:
         p = DetectorParams()
@@ -414,13 +403,14 @@ def score_all(s: NormalizedSeries, p: DetectorParams | None = None) -> ScoreVect
     if v.size < MIN_SERIES_LEN:
         raise TooShort(
             f"signal has {v.size} samples, need at least {MIN_SERIES_LEN}")
-    if _is_constant(s, v):
+    if np.ptp(v) == 0.0:
         return DEGENERATE_SCORES
     fit1 = polyfit(v, 1)
     w = p.median_window(v.size)
     filtered = median_filter(v, w)
     segs = _segments(v, p)
     curvature, curvature_sign = _curvature(fit1, polyfit(v, 2))
+    spike_pos, spike_neg = _spikes(segs, filtered, p)
     return ScoreVector(
         trend=score_trend(v),
         constancy=_mean_pairwise_w1(segs),
@@ -430,11 +420,10 @@ def score_all(s: NormalizedSeries, p: DetectorParams | None = None) -> ScoreVect
         smooth_mse=score_smooth(v, p),
         noise_mse=_noise(v, filtered, w),
         complexity=score_complexity(v, p),
-        spike_pos=_spikes(segs, filtered, p, "up"),
-        spike_neg=_spikes(segs, filtered, p, "down"),
+        spike_pos=spike_pos,
+        spike_neg=spike_neg,
         periodicity_gap=_periodicity(v, autocorrelation(v), fit1[1]),
         symmetry_err=score_symmetry(v, p),
         step_response=score_step(v, p),
         amplitude_var=_amplitude(segs),
-        degenerate=False,
     )

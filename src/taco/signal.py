@@ -59,13 +59,11 @@ class Series:
 class NormalizedSeries:
     """A signal rescaled to the unit interval.
 
-    Output of :func:`minmax_normalize`: unless ``degenerate`` is set the
-    values span [0, 1] exactly; a degenerate (constant) source maps to all
-    zeros with the flag set.
+    Output of :func:`minmax_normalize`: the values span [0, 1] exactly,
+    except that a constant source maps to all zeros.
     """
 
     values: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -82,9 +80,9 @@ class NormalizedSeries:
 def minmax_normalize(s) -> NormalizedSeries:
     """Rescale a signal to [0, 1] via min-max scaling.
 
-    A constant input cannot be rescaled; it maps to all zeros with the
-    ``degenerate`` flag set so downstream detectors can bypass fits and
-    correlations that are undefined on zero variance.
+    A constant input cannot be rescaled; it maps to all zeros, on which the
+    fits and correlations that are undefined on zero variance raise
+    :class:`Degenerate`.
     """
     v = signal_values(s)
     if v.size == 0:
@@ -94,8 +92,8 @@ def minmax_normalize(s) -> NormalizedSeries:
     lo = v.min()
     hi = v.max()
     if hi == lo:
-        return NormalizedSeries(np.zeros_like(v), degenerate=True)
-    return NormalizedSeries((v - lo) / (hi - lo), degenerate=False)
+        return NormalizedSeries(np.zeros_like(v))
+    return NormalizedSeries((v - lo) / (hi - lo))
 
 
 def resample_linear(s, target_len: int) -> np.ndarray:
@@ -140,8 +138,6 @@ def polyfit(s: NormalizedSeries, degree: int) -> tuple[np.ndarray, float]:
     """
     if degree not in (1, 2):
         raise InvalidArgument(f"degree must be 1 or 2, got {degree}")
-    if isinstance(s, NormalizedSeries) and s.degenerate:
-        raise Degenerate("polynomial fit undefined on a constant signal")
     v = signal_values(s)
     if v.size < degree + 1:
         raise TooShort(f"need more than {degree} samples for a degree-{degree} fit")
@@ -165,8 +161,6 @@ def median_filter(s, window: int) -> np.ndarray:
     if window > v.size:
         raise InvalidArgument(
             f"window {window} exceeds signal length {v.size}")
-    if window == 1:
-        return v.copy()
     half = window // 2
     padded = np.pad(v, half, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, window)
@@ -181,8 +175,6 @@ def moving_average(s, window: int) -> np.ndarray:
     if window > v.size:
         raise InvalidArgument(
             f"window {window} exceeds signal length {v.size}")
-    if window == 1:
-        return v.copy()
     left = (window - 1) // 2
     padded = np.pad(v, (left, window - 1 - left), mode="edge")
     kernel = np.full(window, 1.0 / window)
@@ -197,8 +189,6 @@ def autocorrelation(s: NormalizedSeries) -> np.ndarray:
     Wiener-Khinchin: the inverse FFT of the power spectrum, zero-padded to
     ``2n`` so no lag wraps around.
     """
-    if isinstance(s, NormalizedSeries) and s.degenerate:
-        raise Degenerate("autocorrelation undefined on a constant signal")
     v = signal_values(s)
     x = v - v.mean()
     denom = float(np.dot(x, x))

@@ -33,7 +33,7 @@ def make_scores(**overrides):
         trend=0.0, constancy=1.0, curvature=0.0, curvature_sign=0,
         linearity_mse=0.005, smooth_mse=0.001, noise_mse=0.0, complexity=0.02,
         spike_pos=0.0, spike_neg=0.0, periodicity_gap=0.0, symmetry_err=0.01,
-        step_response=0.2, amplitude_var=0.02, degenerate=False,
+        step_response=0.2, amplitude_var=0.02,
     )
     base.update(overrides)
     return ScoreVector(**base)

@@ -368,13 +368,13 @@ def test_score_all_ramp_composite():
     assert scores.trend == pytest.approx(1.0, abs=1e-12)
     assert scores.linearity_mse < 1e-20
     assert scores.step_response == pytest.approx(0.25, abs=1e-6)
-    assert not scores.degenerate
+    assert scores != DEGENERATE_SCORES
 
 
 def test_score_all_degenerate_sentinels():
     scores = score_all(norm(np.full(64, 7.0)), PARAMS)
     assert scores == DEGENERATE_SCORES
-    assert scores.degenerate
+    assert scores.trend == 0.0 and scores.curvature_sign == 0
     assert scores.constancy == 0.0
     assert scores.amplitude_var == 0.0
     assert scores.periodicity_gap == NO_PERIOD
