@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -103,8 +104,8 @@ def _add_ingest_flags(parser) -> None:
                         help="column to ingest (repeatable; default: all numeric)")
     parser.add_argument("--window", type=_int_at_least(MIN_SERIES_LEN), default=300,
                         help="window length in samples (default 300)")
-    parser.add_argument("--target-len", type=int, default=2048,
-                        help="resampled length per window (default 2048)")
+    parser.add_argument("--target-len", type=_int_at_least(MIN_SERIES_LEN), default=2048,
+                        help="resampled length per window, at least --window (default 2048)")
     parser.add_argument("--stride", type=_int_at_least(1), default=None,
                         help="window stride (default: window length)")
 
@@ -146,6 +147,10 @@ def _rephrase_all(captions: list, args, in_flight: int) -> list:
 
 
 def _ingest_spec(args) -> IngestSpec:
+    if args.target_len < args.window:
+        message = f"--target-len {args.target_len} must be at least --window {args.window}"
+        print(f"error: {message}", file=sys.stderr)
+        raise _UsageError(message)
     return IngestSpec(
         inputs=tuple(args.input),
         columns=tuple(args.column) if args.column else None,
@@ -332,7 +337,14 @@ def run(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, which is not an error.  Point fd 1
+        # at devnull so the interpreter's final flush of stdout stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except _UsageError:
         return EXIT_USAGE
     except ServiceError as exc:
