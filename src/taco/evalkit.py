@@ -205,8 +205,12 @@ def nearnbr_caption(query, index: TrainIndex) -> tuple[str, str, float]:
 
 
 def _load_caption_map(path) -> dict:
-    records = read_jsonl(path)
-    return {record.id: record.caption() for record in records}
+    captions = {}
+    for record in read_jsonl(path):
+        if record.id in captions:
+            raise ParseError(f"{path}: id {record.id!r} appears more than once")
+        captions[record.id] = record.caption()
+    return captions
 
 
 def evaluate_corpus(candidates_path, references_path) -> MetricReport:

@@ -91,6 +91,11 @@ class IngestSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(str(p) for p in self.inputs))
+        names = [Path(p).name for p in self.inputs]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise InvalidArgument(
+                    f"inputs share the file name {name!r}; their record ids would collide")
         if self.columns is not None:
             object.__setattr__(self, "columns", tuple(self.columns))
         if self.window_len < MIN_SERIES_LEN:
@@ -151,6 +156,9 @@ def _read_csv_columns(path: str, wanted: tuple | None) -> dict:
             try:
                 columns[name][row_num - 1] = float(cell)
             except ValueError:
+                if not cell.strip():  # a blank cell is a missing sample
+                    columns[name][row_num - 1] = np.nan
+                    continue
                 raise ParseError(
                     f"{path}: non-numeric cell {cell!r} at row {row_num}, "
                     f"column {name}",
