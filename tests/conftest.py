@@ -63,4 +63,5 @@ def mock_endpoint():
         yield server, f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)

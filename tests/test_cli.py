@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -294,10 +297,17 @@ def test_output_error_names_given_path(command, tmp_path, capsys):
     (["annotate", "--window", "8"], "--window: must be at least 16, got 8"),
     (["dataset", "--stride", "0"], "--stride: must be at least 1, got 0"),
     (["annotate", "--stride", "-2"], "--stride: must be at least 1, got -2"),
+    (["dataset", "--target-len", "10"], "--target-len: must be at least 16, got 10"),
+    (["annotate", "--target-len", "10"], "--target-len: must be at least 16, got 10"),
+    (["dataset", "--target-len", "200"], "--target-len 200 must be at least --window 300"),
+    (["annotate", "--window", "64", "--target-len", "32"],
+     "--target-len 32 must be at least --window 64"),
 ], ids=["dataset-jobs-0", "dataset-jobs-negative", "caption-jobs-0",
         "caption-jobs-negative", "synth-seed-negative", "synth-annotate-short-length",
         "synth-count-0", "synth-length-1", "dataset-window-short", "annotate-window-short",
-        "dataset-stride-0", "annotate-stride-negative"])
+        "dataset-stride-0", "annotate-stride-negative", "dataset-target-len-short",
+        "annotate-target-len-short", "dataset-target-len-below-window",
+        "annotate-target-len-below-window"])
 def test_out_of_range_flags_exit_one(argv, message, ramp_csv, tmp_path, capsys):
     if argv[0] in ("dataset", "annotate"):
         argv = argv + ["--input", ramp_csv]
@@ -351,6 +361,14 @@ def _dataset_with(flag, body):
     return build
 
 
+def _inputs_sharing_name(tmp_path):
+    paths = [tmp_path / side / "x.csv" for side in ("a", "b")]
+    for path in paths:
+        path.parent.mkdir()
+        path.write_text("v\n" + "\n".join(str(i) for i in range(300)) + "\n")
+    return ["dataset", "--input", str(paths[0]), "--input", str(paths[1])]
+
+
 def _jsonl_with(command, field, value):
     def build(tmp_path):
         path = tmp_path / "records.jsonl"
@@ -387,13 +405,16 @@ def _rising_cutoff(cutoff):
     _jsonl_with("eval", "scores", [1, 2]),
     _jsonl_with("eval", "caption_base", None),
     _jsonl_with("eval", "caption_rephrased", 5),
+    _jsonl_with("eval", "id", "a"),
+    _inputs_sharing_name,
 ], ids=["params-k-segments-string", "params-spike-sigma-null", "config-cutoff-string",
         "config-cutoff-null", "nearnbr-null-value", "nearnbr-index-string-value",
         "nearnbr-query-null-value", "nearnbr-query-string-value",
         "nearnbr-query-nested-value", "nearnbr-query-nan-token",
         "caption-classes-null", "caption-classes-string", "caption-classes-number-item",
         "caption-scores-list", "eval-classes-null", "eval-scores-list",
-        "eval-caption-base-null", "eval-caption-rephrased-number"])
+        "eval-caption-base-null", "eval-caption-rephrased-number", "eval-duplicate-id",
+        "dataset-inputs-sharing-name"])
 def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(build(tmp_path) + ["--out", str(out)]) == EXIT_DATA
@@ -444,3 +465,39 @@ def test_dataset_stdout_matches_out_file(csv_with_bad_window, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.encode("utf-8") == out.read_bytes()
     assert captured.err.startswith("skipped mixed.csv#v#1: ")
+
+
+@pytest.mark.parametrize("blank_row", ["0.5,", "0.5, ", "0.5"],
+                         ids=["empty-cell", "whitespace-cell", "short-row"])
+def test_blank_cell_skips_only_its_window(blank_row, tmp_path, capsys):
+    # column b's data row 451 (window 1 of 3) is blank; a nan cell there is the reference
+    def dataset_skips(row_451):
+        rows = [f"{v!r},{v!r}" for v in np.linspace(0.0, 1.0, 900).tolist()]
+        rows[450] = row_451
+        path = tmp_path / "cells.csv"
+        path.write_text("a,b\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "ds.jsonl"
+        assert main(["dataset", "--input", str(path), "--no-values",
+                     "--out", str(out)]) == EXIT_OK
+        ids = [record.id for record in read_jsonl(out)]
+        return ids, out.with_name("ds.jsonl.skipped.jsonl").read_text()
+
+    ids, skips = dataset_skips(blank_row)
+    assert ids == ["cells.csv#a#0", "cells.csv#a#1", "cells.csv#a#2",
+                   "cells.csv#b#0", "cells.csv#b#2"]
+    assert (ids, skips) == dataset_skips("0.5,nan")
+    assert "cells.csv#b#1" in skips and "InvalidSignal" in skips
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly():
+    src = os.path.dirname(os.path.dirname(taco.captioner.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "taco.cli", "synth", "--count", "200"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_OK
+    assert err == b""
