@@ -490,13 +490,20 @@ def test_blank_cell_skips_only_its_window(blank_row, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_closed_stdout_exits_quietly():
+@pytest.mark.parametrize("argv, lines_read", [
+    (["synth", "--count", "200"], 1),
+    (["caption", "--classes", "Rising"], 0),
+], ids=["synth-read-one-line", "caption-read-nothing"])
+def test_closed_stdout_exits_quietly(argv, lines_read):
+    # block-buffered stdout, as in a shell: a short output meets the closed
+    # pipe only when it is flushed
     src = os.path.dirname(os.path.dirname(taco.captioner.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, "-m", "taco.cli", "synth", "--count", "200"],
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "taco.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline().startswith(b"{")
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == EXIT_OK
