@@ -497,7 +497,7 @@ def test_blank_cell_skips_only_its_window(blank_row, tmp_path, capsys):
 def test_closed_stdout_exits_quietly(argv, lines_read):
     # block-buffered stdout, as in a shell: a short output meets the closed
     # pipe only when it is flushed
-    src = os.path.dirname(os.path.dirname(taco.captioner.__file__))
+    src = os.path.dirname(os.path.dirname(taco.__file__))
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "taco.cli", *argv],
