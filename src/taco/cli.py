@@ -10,10 +10,12 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 external-service error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from dataclasses import replace
+from itertools import chain, islice
 
 from . import __version__
 from .annotator import DetectorParams, TimeSeriesClass, load_config
@@ -28,9 +30,10 @@ from .evalkit import (
 )
 from .pipeline import (
     IngestSpec,
-    build_dataset,
-    build_forward_dataset,
-    read_jsonl,
+    encode_record,
+    iter_dataset,
+    iter_forward,
+    iter_jsonl,
     write_atomic,
     write_jsonl,
 )
@@ -126,24 +129,36 @@ def _add_rephrase_flags(parser) -> None:
                         help="rephrase model name (default: $TACO_LLM_MODEL)")
 
 
-def _rephrase_all(captions: list, args, in_flight: int) -> list:
-    """Rephrase finished base captions; a slot whose call failed holds None.
+def _rephrased(items, caption_of, args, in_flight: int):
+    """Yield ``(item, rephrased caption)`` for each item, None where the call
+    failed, rephrasing ``4 * in_flight`` base captions at a time.
 
-    One stderr line reports failures: with no endpoint configured every slot
-    is None and no request is made, else the line counts the failed calls.
+    One stderr line reports failures for the whole run: with no endpoint
+    configured every caption is None and no request is made, else the line,
+    printed after the last item, counts the failed calls.
     """
-    try:
-        rephrased = rephrase_many(captions, endpoint=args.endpoint, model=args.model,
-                                  max_in_flight=in_flight)
-    except Unavailable as exc:
-        print(f"--rephrase requested but {exc}; emitting base captions only",
-              file=sys.stderr)
-        return [None] * len(captions)
-    failed = rephrased.count(None)
+    items = iter(items)
+    chunk_len = 4 * in_flight
+    failed = total = 0
+    while True:
+        chunk = list(islice(items, chunk_len))
+        try:
+            rephrased = rephrase_many([caption_of(item) for item in chunk],
+                                      endpoint=args.endpoint, model=args.model,
+                                      max_in_flight=in_flight)
+        except Unavailable as exc:
+            print(f"--rephrase requested but {exc}; emitting base captions only",
+                  file=sys.stderr)
+            yield from ((item, None) for item in chain(chunk, items))
+            return
+        failed += rephrased.count(None)
+        total += len(chunk)
+        yield from zip(chunk, rephrased)
+        if len(chunk) < chunk_len:
+            break
     if failed:
-        print(f"rephrase failed for {failed} of {len(captions)} captions; "
+        print(f"rephrase failed for {failed} of {total} captions; "
               f"caption_rephrased is null for them", file=sys.stderr)
-    return rephrased
 
 
 def _ingest_spec(args) -> IngestSpec:
@@ -160,15 +175,20 @@ def _ingest_spec(args) -> IngestSpec:
     )
 
 
+def _annotate_line(record) -> str:
+    """An annotate row: the dataset record's classes and scores, its config
+    digest named ``params_digest``."""
+    data = record.to_json_dict()
+    return encode_record({key: data[key] for key in ("id", "source", "classes", "scores")}
+                         | {"params_digest": data["config_digest"]})
+
+
 def _cmd_annotate(args) -> int:
     params = _load_params(args.params)
     cfg = load_config(args.config)
-    records, skips = build_dataset(_ingest_spec(args), params, cfg,
-                                   include_values=False)
-    rows = [{key: data[key] for key in ("id", "source", "classes", "scores")}
-            | {"params_digest": data["config_digest"]}
-            for data in (record.to_json_dict() for record in records)]
-    write_jsonl(rows, args.out)
+    skips: list = []
+    write_jsonl(iter_dataset(_ingest_spec(args), skips, params, cfg,
+                             include_values=False, encode=_annotate_line), args.out)
     _report_skips(skips, None)
     return EXIT_OK
 
@@ -187,14 +207,13 @@ def _cmd_caption(args) -> int:
         print(text)
         return EXIT_OK
     rows = []
-    for record in read_jsonl(args.input):
+    for record in iter_jsonl(args.input):
         classes = {TimeSeriesClass.from_name(n) for n in record.classes
                    if n not in _FORWARD_ONLY_NAMES}
         rows.append({"id": record.id, "caption_base": base_caption(classes)})
     if args.rephrase:
-        rephrased = _rephrase_all([row["caption_base"] for row in rows], args, args.jobs)
-        for row, new in zip(rows, rephrased):
-            row["caption_rephrased"] = new
+        rows = [row | {"caption_rephrased": new} for row, new in
+                _rephrased(rows, lambda row: row["caption_base"], args, args.jobs)]
     write_jsonl(rows, args.out)
     return EXIT_OK
 
@@ -208,7 +227,7 @@ def _cmd_synth(args) -> int:
     cfg = load_config(args.config)
     constraints = ([s.strip() for s in args.shapes.split(",") if s.strip()]
                    if args.shapes else None)
-    records, _ = build_forward_dataset(
+    lines = iter_forward(
         n=args.count,
         master_seed=args.seed,
         annotate_also=args.annotate_also,
@@ -217,21 +236,30 @@ def _cmd_synth(args) -> int:
         include_values=not args.no_values,
         length=args.length,
         constraints=constraints,
+        encode=encode_record,
     )
-    write_jsonl(records, args.out)
+    write_jsonl(lines, args.out)
     return EXIT_OK
 
 
 def _cmd_dataset(args) -> int:
     params = _load_params(args.params)
     cfg = load_config(args.config)
-    records, skips = build_dataset(_ingest_spec(args), params, cfg, jobs=args.jobs,
-                                   include_values=not args.no_values)
+    skips: list = []
+    # With --rephrase workers hand back records, since the line is encoded
+    # once the caption is rephrased.  The pool starts on the first window,
+    # before any rephrase thread, so no worker is forked from a threaded
+    # process.
+    stream = iter_dataset(_ingest_spec(args), skips, params, cfg, jobs=args.jobs,
+                          include_values=not args.no_values,
+                          encode=None if args.rephrase else encode_record)
+    records = stream
     if args.rephrase:
-        rephrased = _rephrase_all([r.caption_base for r in records], args,
-                                  DEFAULT_IN_FLIGHT)
-        records = [replace(r, caption_rephrased=new) for r, new in zip(records, rephrased)]
-    write_jsonl(records, args.out)
+        records = (replace(record, caption_rephrased=new) for record, new in
+                   _rephrased(stream, lambda record: record.caption_base, args,
+                              DEFAULT_IN_FLIGHT))
+    with contextlib.closing(stream):  # a closed stdout shuts the pool down here
+        write_jsonl(records, args.out)
     _report_skips(skips, args.skip_log
                   or (f"{args.out}.skipped.jsonl" if args.out else None))
     return EXIT_OK
@@ -240,7 +268,7 @@ def _cmd_dataset(args) -> int:
 def _cmd_nearnbr(args) -> int:
     index = load_index(args.index)
     rows = []
-    for record in read_jsonl(args.queries):
+    for record in iter_jsonl(args.queries):
         caption, neighbor_id, mse = nearnbr_caption(
             record_values(record, args.queries), index)
         rows.append({

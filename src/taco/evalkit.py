@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, EmptyIndex, InvalidArgument, ParseError
-from .pipeline import read_jsonl
+from .pipeline import iter_jsonl
 from .signal import signal_values
 
 #: Metric keys reserved in reports for scores computed by external tools.
@@ -174,10 +174,11 @@ def load_index(path) -> TrainIndex:
     Every record must carry a values vector of finite numbers; all vectors
     must share one length.
     """
-    records = read_jsonl(path)
-    ids = [record.id for record in records]
-    rows = [record_values(record, path) for record in records]
-    captions = [record.caption() for record in records]
+    ids, rows, captions = [], [], []
+    for record in iter_jsonl(path):
+        ids.append(record.id)
+        rows.append(record_values(record, path))
+        captions.append(record.caption())
     if not rows:
         raise EmptyIndex(f"{path} contains no records")
     lengths = {row.size for row in rows}
@@ -206,7 +207,7 @@ def nearnbr_caption(query, index: TrainIndex) -> tuple[str, str, float]:
 
 def _load_caption_map(path) -> dict:
     captions = {}
-    for record in read_jsonl(path):
+    for record in iter_jsonl(path):
         if record.id in captions:
             raise ParseError(f"{path}: id {record.id!r} appears more than once")
         captions[record.id] = record.caption()

@@ -5,6 +5,10 @@ length by linear interpolation, normalized, annotated and captioned.  Window
 processing is embarrassingly parallel; results are always emitted in
 (file, column, window) order regardless of worker count, so identical inputs
 and configuration produce byte-identical output files.
+
+Records stream: each window's record, or its encoded JSONL line, is yielded
+as soon as it is built and in order, and workers run the serialiser, so
+memory does not grow with the size of the output.
 """
 
 from __future__ import annotations
@@ -14,8 +18,11 @@ import csv
 import json
 import os
 import sys
+from array import array
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +120,12 @@ class IngestSpec:
 
 
 def _read_csv_columns(path: str, wanted: tuple | None) -> dict:
-    """Read selected numeric columns from a CSV file with a header row."""
+    """Read selected numeric columns from a CSV file with a header row.
+
+    Without ``wanted``, a column is numeric when its first non-blank cell
+    parses as a float.  Cells are parsed row by row into float64 storage; a
+    blank cell is a missing sample (NaN).
+    """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -124,65 +136,74 @@ def _read_csv_columns(path: str, wanted: tuple | None) -> dict:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path} is empty, expected a header row") from None
-        rows = list(reader)
-    if wanted is not None:
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise ParseError(f"{path} has no columns named {missing}")
-        selected = [c for c in header if c in wanted]
-    else:
+        columns = {}  # header index -> float64 storage
+        undecided = {}  # header index -> blank cells before its first non-blank one
+        if wanted is None:
+            undecided = dict.fromkeys(range(len(header)), 0)
+        else:
+            missing = [c for c in wanted if c not in header]
+            if missing:
+                raise ParseError(f"{path} has no columns named {missing}")
+            for idx, name in enumerate(header):
+                if name in wanted:
+                    _claim(path, header, columns, idx, array("d"))
+        rows = 0
+        for rows, row in enumerate(reader, start=1):
+            width = len(row)
+            for idx, store in columns.items():
+                cell = row[idx] if idx < width else ""
+                try:
+                    store.append(float(cell))
+                except ValueError:
+                    if cell.strip():
+                        raise ParseError(
+                            f"{path}: non-numeric cell {cell!r} at row {rows}, "
+                            f"column {header[idx]}",
+                            row=rows, column=header[idx]) from None
+                    store.append(np.nan)  # a blank cell is a missing sample
+            if undecided:
+                for idx in list(undecided):
+                    cell = row[idx] if idx < width else ""
+                    if not cell.strip():
+                        undecided[idx] += 1
+                        continue
+                    blanks = undecided.pop(idx)
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # a text column
+                    _claim(path, header, columns, idx, array("d", [np.nan] * blanks + [value]))
+    if wanted is None:
         if not rows:
             raise ParseError(f"{path} has a header but no data rows")
-        selected = []
-        for idx, name in enumerate(header):
-            cell = rows[0][idx] if idx < len(rows[0]) else ""
-            try:
-                float(cell)
-            except ValueError:
-                continue
-            selected.append(name)
-        if not selected:
+        if not columns:
             raise ParseError(f"{path} has no numeric columns")
-    for i, name in enumerate(selected):
-        if name in selected[:i]:
-            raise ParseError(f"{path} has more than one column named {name!r}",
-                             column=name)
-    columns: dict = {name: np.empty(len(rows)) for name in selected}
-    indices = {name: header.index(name) for name in selected}
-    for row_num, row in enumerate(rows, start=1):
-        for name in selected:
-            idx = indices[name]
-            cell = row[idx] if idx < len(row) else ""
-            try:
-                columns[name][row_num - 1] = float(cell)
-            except ValueError:
-                if not cell.strip():  # a blank cell is a missing sample
-                    columns[name][row_num - 1] = np.nan
-                    continue
-                raise ParseError(
-                    f"{path}: non-numeric cell {cell!r} at row {row_num}, "
-                    f"column {name}",
-                    row=row_num, column=name) from None
-    return columns
+    return {header[idx]: np.frombuffer(columns[idx]) for idx in sorted(columns)}
+
+
+def _claim(path: str, header: list, columns: dict, idx: int, store) -> None:
+    """Add column ``idx`` to ``columns``, refusing a second one of its name."""
+    name = header[idx]
+    if any(header[other] == name for other in columns):
+        raise ParseError(f"{path} has more than one column named {name!r}", column=name)
+    columns[idx] = store
 
 
 def ingest_csv(spec: IngestSpec):
     """Yield ``(source_tag, window_values)`` pairs in deterministic order.
 
     Source tags are ``file#column#window_index``.  Windows are strided
-    slices of each selected column; incomplete tails are dropped.
+    slices of each selected column; incomplete tails are dropped.  Every
+    input is read before the first window is yielded, so a malformed file
+    fails the run before any output.
     """
-    for path in spec.inputs:
-        columns = _read_csv_columns(path, spec.columns)
-        name = Path(path).name
+    tables = [(Path(path).name, _read_csv_columns(path, spec.columns))
+              for path in spec.inputs]
+    for name, columns in tables:
         for col, values in columns.items():
-            stride = spec.effective_stride
-            idx = 0
-            start = 0
-            while start + spec.window_len <= values.size:
+            starts = range(0, values.size - spec.window_len + 1, spec.effective_stride)
+            for idx, start in enumerate(starts):
                 yield f"{name}#{col}#{idx}", values[start:start + spec.window_len]
-                idx += 1
-                start += stride
 
 
 def _record(tag: str, source: str, classes: list, scores: dict, caption: str,
@@ -193,30 +214,110 @@ def _record(tag: str, source: str, classes: list, scores: dict, caption: str,
                          caption_base=caption, config_digest=digest, values=kept)
 
 
-def _process_window(args):
+def _window_outcome(context, window):
     """Resample, annotate and caption one window.
 
-    Module-level so it can run inside a process pool.  Returns
-    ``("ok", record)`` or ``("skip", source, reason)``.
+    Returns ``("ok", record)``, the record encoded when the context carries
+    an encoder, or ``("skip", {"source", "reason"})``.
     """
-    tag, values, params, cfg, target_len, include_values, digest = args
+    params, cfg, target_len, include_values, digest, encode = context
+    tag, values = window
     try:
         resampled = resample_linear(values, target_len)
         annotation = annotate(Series(values=resampled), params, cfg)
-        return ("ok", _record(tag, tag, annotation.class_names(),
-                              annotation.scores.as_dict(),
-                              base_caption(annotation.classes), digest,
-                              resampled, include_values))
+        record = _record(tag, tag, annotation.class_names(),
+                         annotation.scores.as_dict(),
+                         base_caption(annotation.classes), digest,
+                         resampled, include_values)
     except TacoError as exc:
-        return ("skip", tag, f"{type(exc).__name__}: {exc}")
+        return ("skip", {"source": tag, "reason": f"{type(exc).__name__}: {exc}"})
+    return ("ok", encode(record) if encode else record)
 
 
-def _run_ordered(worker, items, jobs: int):
-    if jobs <= 1 or len(items) < 2:
-        return [worker(item) for item in items]
-    chunksize = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items, chunksize=chunksize))
+def _synth_record(context, i):
+    """Generate record ``i`` of a forward dataset, encoded when the context
+    carries an encoder."""
+    (master_seed, annotate_also, params, cfg, include_values, length, constraints,
+     digest, encode) = context
+    child_seed = np.random.SeedSequence(entropy=(master_seed, i))
+    spec = sample_spec(child_seed, constraints=constraints, length=length)
+    synth_record = generate(spec)
+    classes = list(synth_record.forward_classes)
+    caption = synth_record.caption
+    scores: dict = {}
+    if annotate_also:
+        annotation = annotate(Series(values=synth_record.values), params, cfg)
+        caption = f"{caption} {base_caption(annotation.classes)}"
+        classes += [c for c in annotation.class_names() if c not in classes]
+        scores = annotation.scores.as_dict()
+    record = _record(f"synth-{i:06d}", "synth", classes, scores, caption,
+                     digest, synth_record.values, include_values)
+    return encode(record) if encode else record
+
+
+#: Tasks per chunk a pool worker runs, and chunks in flight per worker.  Both
+#: are fixed, so with ``jobs`` workers at most ``jobs * CHUNKS_PER_JOB``
+#: chunks are submitted and not yet consumed, whatever the input size.
+CHUNK_TASKS = 8
+CHUNKS_PER_JOB = 2
+
+
+def _run_chunk(worker, context, items) -> list:
+    return [worker(context, item) for item in items]
+
+
+def _ordered(worker, context, items, jobs: int):
+    """Yield ``worker(context, item)`` for each item, in item order.
+
+    With ``jobs`` > 1 and more than one chunk of items, chunks run on a
+    process pool that is kept ``jobs * CHUNKS_PER_JOB`` chunks ahead of the
+    consumer (``Executor.map`` would submit every chunk at once); otherwise
+    the worker runs inline.  Closing the generator early cancels the chunks
+    not yet started.
+    """
+    if jobs > 1:
+        tasks = iter(items)
+        chunks = iter(lambda: list(islice(tasks, CHUNK_TASKS)), [])
+        head = list(islice(chunks, 2))
+        if len(head) == 2:
+            yield from _pooled(worker, context, chain(head, chunks), jobs)
+            return
+        items = chain.from_iterable(head)
+    for item in items:
+        yield worker(context, item)
+
+
+def _pooled(worker, context, chunks, jobs: int):
+    pending = deque()
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        for chunk in chunks:
+            pending.append(pool.submit(_run_chunk, worker, context, chunk))
+            if len(pending) == jobs * CHUNKS_PER_JOB:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def iter_dataset(spec: IngestSpec, skips: list, params: DetectorParams | None = None,
+                 cfg: ThresholdConfig | None = None, jobs: int = 1,
+                 include_values: bool = True, encode=None):
+    """Yield the record of each CSV window in window order, or its JSONL
+    line when ``encode`` (such as :func:`encode_record`) is given; workers
+    run the encoder.  A window that fails appends ``{"source", "reason"}``
+    to ``skips`` instead.
+    """
+    params = params or DetectorParams()
+    cfg = cfg or default_config()
+    context = (params, cfg, spec.target_len, include_values,
+               config_digest(params, cfg), encode)
+    for kind, item in _ordered(_window_outcome, context, ingest_csv(spec), jobs):
+        if kind == "ok":
+            yield item
+        else:
+            skips.append(item)
 
 
 def build_dataset(spec: IngestSpec, params: DetectorParams | None = None,
@@ -229,27 +330,19 @@ def build_dataset(spec: IngestSpec, params: DetectorParams | None = None,
     ``{"source", "reason"}`` and the build continues, so
     ``len(records) + len(skips)`` always equals the ingested window count.
     """
-    params = params or DetectorParams()
-    cfg = cfg or default_config()
-    digest = config_digest(params, cfg)
-    windows = list(ingest_csv(spec))
-    tasks = [
-        (tag, values, params, cfg, spec.target_len, include_values, digest)
-        for tag, values in windows
-    ]
-    outcomes = _run_ordered(_process_window, tasks, jobs)
-    records = [out[1] for out in outcomes if out[0] == "ok"]
-    skips = [{"source": out[1], "reason": out[2]} for out in outcomes if out[0] == "skip"]
+    skips: list = []
+    records = list(iter_dataset(spec, skips, params, cfg, jobs, include_values))
     return records, skips
 
 
-def build_forward_dataset(n: int, master_seed: int, annotate_also: bool = False,
-                          params: DetectorParams | None = None,
-                          cfg: ThresholdConfig | None = None,
-                          include_values: bool = True,
-                          length: int = 2048,
-                          constraints=None):
-    """Generate ``n`` synthetic records with deterministic per-index seeds.
+def iter_forward(n: int, master_seed: int, annotate_also: bool = False,
+                 params: DetectorParams | None = None,
+                 cfg: ThresholdConfig | None = None,
+                 include_values: bool = True,
+                 length: int = 2048,
+                 constraints=None, encode=None):
+    """Yield ``n`` synthetic records with deterministic per-index seeds, or
+    their JSONL lines when ``encode`` is given.
 
     With ``annotate_also`` the backward annotator runs on each generated
     signal; its base caption is appended to the forward caption and its
@@ -259,40 +352,44 @@ def build_forward_dataset(n: int, master_seed: int, annotate_also: bool = False,
         raise InvalidArgument(f"n must be >= 1, got {n}")
     params = params or DetectorParams()
     cfg = cfg or default_config()
-    digest = config_digest(params, cfg)
-    records = []
-    for i in range(n):
-        child_seed = np.random.SeedSequence(entropy=(int(master_seed), i))
-        spec = sample_spec(child_seed, constraints=constraints, length=length)
-        synth_record = generate(spec)
-        classes = list(synth_record.forward_classes)
-        caption = synth_record.caption
-        scores: dict = {}
-        if annotate_also:
-            annotation = annotate(Series(values=synth_record.values), params, cfg)
-            caption = f"{caption} {base_caption(annotation.classes)}"
-            classes += [c for c in annotation.class_names() if c not in classes]
-            scores = annotation.scores.as_dict()
-        records.append(_record(f"synth-{i:06d}", "synth", classes, scores, caption,
-                               digest, synth_record.values, include_values))
-    return records, []
+    context = (int(master_seed), annotate_also, params, cfg, include_values, length,
+               constraints, config_digest(params, cfg), encode)
+    return _ordered(_synth_record, context, range(n), jobs=1)
+
+
+def build_forward_dataset(n: int, master_seed: int, annotate_also: bool = False,
+                          params: DetectorParams | None = None,
+                          cfg: ThresholdConfig | None = None,
+                          include_values: bool = True,
+                          length: int = 2048,
+                          constraints=None):
+    """:func:`iter_forward` collected: ``(records, [])``."""
+    return list(iter_forward(n, master_seed, annotate_also, params, cfg,
+                             include_values, length, constraints)), []
+
+
+def encode_record(record) -> str:
+    """The one JSONL serialiser: a record (DatasetRecord or plain dict) as
+    one JSON line in fixed key order, without the newline."""
+    data = record.to_json_dict() if hasattr(record, "to_json_dict") else record
+    return json.dumps(data, allow_nan=False)
 
 
 def _write_lines(records, handle) -> int:
     count = 0
     for record in records:
-        data = record.to_json_dict() if hasattr(record, "to_json_dict") else record
-        handle.write(json.dumps(data, allow_nan=False))
+        handle.write(record if isinstance(record, str) else encode_record(record))
         handle.write("\n")
         count += 1
     return count
 
 
 def write_jsonl(records, path=None) -> int:
-    """Write records (DatasetRecord or plain dicts) as one JSON object per
-    line, UTF-8, fixed key order, to ``path`` through :func:`write_atomic`,
-    or to stdout when it is None or empty.  Returns the number of lines
-    written.
+    """Write records (DatasetRecord or plain dicts, or lines that
+    :func:`encode_record` made) as one JSON object per line, UTF-8, to
+    ``path`` through :func:`write_atomic`, or to stdout when it is None or
+    empty.  Lines are written as ``records`` yields them.  Returns the
+    number of lines written.
     """
     if not path:
         return _write_lines(records, sys.stdout)
@@ -344,14 +441,13 @@ _FIELD_TYPES = {
 }
 
 
-def read_jsonl(path) -> list[DatasetRecord]:
-    """Read a JSONL dataset file back into records.
+def iter_jsonl(path):
+    """Yield the records of a JSONL dataset file one line at a time.
 
     Malformed lines (including a truncated final line, the non-finite
     tokens ``NaN``, ``Infinity`` and ``-Infinity``, and a field of the wrong
     type) raise :class:`ParseError` carrying the 1-based line number.
     """
-    records = []
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -376,5 +472,9 @@ def read_jsonl(path) -> list[DatasetRecord]:
                     raise ParseError(
                         f"{path}: {name!r} must be {expected} at line {line_num}",
                         line=line_num)
-            records.append(DatasetRecord.from_json_dict(data))
-    return records
+            yield DatasetRecord.from_json_dict(data)
+
+
+def read_jsonl(path) -> list[DatasetRecord]:
+    """:func:`iter_jsonl` collected into a list."""
+    return list(iter_jsonl(path))

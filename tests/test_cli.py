@@ -187,15 +187,44 @@ def test_synth_no_values(tmp_path):
     assert all(r.values is None for r in read_jsonl(out))
 
 
-def test_dataset_jobs_determinism(ramp_csv, tmp_path):
-    outs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"d{jobs}.jsonl"
-        code = main(["dataset", "--input", ramp_csv, "--jobs", jobs,
-                     "--out", str(out)])
-        assert code == EXIT_OK
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+def _sine_csv(path, windows: int, bad_rows=()):
+    """A two-column CSV of ``windows`` 300-sample windows per column; column
+    ``b``'s data rows in ``bad_rows`` hold ``inf``, which skips their window."""
+    t = np.arange(300 * windows)
+    b = np.cos(t / 17.0) + t / 900.0
+    b[list(bad_rows)] = np.inf
+    path.write_text("a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in
+                                      zip(np.sin(t / 23.0).tolist(), b.tolist())))
+    return str(path)
+
+
+def test_dataset_jobs_determinism(tmp_path, capsys):
+    # 20 windows, more than one chunk of pool tasks; window b#3 is skipped
+    csv_path = _sine_csv(tmp_path / "sines.csv", 10, bad_rows=[1000])
+    outputs = {}
+    for jobs in ("1", "2", "3"):
+        run = tmp_path / f"jobs{jobs}"
+        run.mkdir()
+        out = run / "d.jsonl"
+        assert main(["dataset", "--input", csv_path, "--jobs", jobs,
+                     "--out", str(out)]) == EXIT_OK
+        assert main(["dataset", "--input", csv_path, "--jobs", jobs, "--no-values",
+                     "--out", str(run / "nv.jsonl")]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["dataset", "--input", csv_path, "--jobs", jobs]) == EXIT_OK
+        stdout = capsys.readouterr()
+        assert stdout.out.encode("utf-8") == out.read_bytes()
+        outputs[jobs] = [(run / name).read_bytes() for name in
+                         ("d.jsonl", "d.jsonl.skipped.jsonl", "nv.jsonl")] + [stdout.err]
+    assert outputs["1"] == outputs["2"] == outputs["3"]
+    assert len(outputs["1"][0].splitlines()) == 19
+    assert b"sines.csv#b#3" in outputs["1"][1]
+    # annotate rows are the --no-values records, projected
+    assert main(["annotate", "--input", csv_path, "--out", str(tmp_path / "a.jsonl")]) == EXIT_OK
+    rows = [json.loads(line) for line in outputs["1"][2].splitlines()]
+    assert [json.loads(line) for line in (tmp_path / "a.jsonl").read_text().splitlines()] == [
+        {"id": r["id"], "source": r["source"], "classes": r["classes"],
+         "scores": r["scores"], "params_digest": r["config_digest"]} for r in rows]
 
 
 def test_dataset_skip_log(tmp_path):
@@ -493,10 +522,13 @@ def test_blank_cell_skips_only_its_window(blank_row, tmp_path, capsys):
 @pytest.mark.parametrize("argv, lines_read", [
     (["synth", "--count", "200"], 1),
     (["caption", "--classes", "Rising"], 0),
-], ids=["synth-read-one-line", "caption-read-nothing"])
-def test_closed_stdout_exits_quietly(argv, lines_read):
+    (["dataset", "--input", "{csv}", "--jobs", "2"], 1),
+], ids=["synth-read-one-line", "caption-read-nothing", "dataset-jobs2-read-one-line"])
+def test_closed_stdout_exits_quietly(argv, lines_read, tmp_path):
     # block-buffered stdout, as in a shell: a short output meets the closed
-    # pipe only when it is flushed
+    # pipe only when it is flushed; the dataset run still has pool work in flight
+    argv = [arg.format(csv=tmp_path / "sines.csv") for arg in argv]
+    _sine_csv(tmp_path / "sines.csv", 24)
     src = os.path.dirname(os.path.dirname(taco.__file__))
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -508,3 +540,64 @@ def test_closed_stdout_exits_quietly(argv, lines_read):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == EXIT_OK
     assert err == b""
+
+
+def test_dataset_bad_later_input_writes_nothing(tmp_path, capsys):
+    good = _sine_csv(tmp_path / "good.csv", 2)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("v\n" + "".join(f"{i}\n" for i in range(400)) + "abc\n")
+    assert main(["dataset", "--input", good, "--input", str(bad)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "row 401" in captured.err
+
+
+def test_blank_first_cell_keeps_numeric_column(tmp_path):
+    # column b's first data cell is blank: b is still numeric, as with --column b
+    rows = [f"{v!r},{v!r}" for v in np.linspace(0.0, 1.0, 600).tolist()]
+    rows[0] = "0.0,"
+    path = tmp_path / "lead.csv"
+    path.write_text("a,b\n" + "\n".join(rows) + "\n")
+
+    def column_b_outcomes(*extra):
+        out = tmp_path / "ds.jsonl"
+        skip_log = tmp_path / "skips.jsonl"
+        skip_log.unlink(missing_ok=True)
+        assert main(["dataset", "--input", str(path), "--no-values", "--out", str(out),
+                     "--skip-log", str(skip_log), *extra]) == EXIT_OK
+        kept = [record.id for record in read_jsonl(out)]
+        skipped = [record["source"] for record in map(json.loads, skip_log.read_text().splitlines())]
+        return [tag for tag in kept if "#b#" in tag], skipped
+
+    kept, skipped = column_b_outcomes()
+    assert (kept, skipped) == (["lead.csv#b#1"], ["lead.csv#b#0"])
+    assert column_b_outcomes("--column", "b") == (kept, skipped)
+
+
+def _peak_rss_mb(argv, tmp_path) -> float:
+    """Run taco in a fresh process that reports its own VmHWM at exit."""
+    code = ("import atexit, sys\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        kib = next(l.split()[1] for l in status if l.startswith('VmHWM:'))\n"
+            "    print('peak-rss-kib', kib, file=sys.stderr)\n"
+            "atexit.register(peak)\n"
+            "from taco.cli import main\n"
+            "sys.exit(main())\n")
+    src = os.path.dirname(os.path.dirname(taco.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    kib = proc.stderr.split("peak-rss-kib")[-1].split()[0]
+    return int(kib) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status for VmHWM")
+def test_synth_peak_memory_does_not_grow_with_count(tmp_path):
+    small, large = (_peak_rss_mb(["synth", "--count", str(count), "--out", f"s{count}.jsonl"],
+                                 tmp_path) for count in (150, 1500))
+    assert abs(large - small) < 10.0, (small, large)

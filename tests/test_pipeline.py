@@ -90,6 +90,14 @@ def test_ingest_duplicate_header_names_rejected(tmp_path, columns):
     assert err.value.column == "x"
 
 
+def test_ingest_text_column_with_blank_first_cell_left_out(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text("a,label,c\n0.0,,\n"
+                    + "".join(f"{i}.0,row{i},\n" for i in range(1, 32)))
+    tags = [tag for tag, _ in ingest_csv(IngestSpec(inputs=(path,), window_len=16))]
+    assert tags == ["mixed.csv#a#0", "mixed.csv#a#1"]
+
+
 def test_ingest_column_selection(tmp_path):
     path = tmp_path / "two.csv"
     write_csv(path, {"a": list(np.arange(64.0)), "b": list(np.arange(64.0))})
