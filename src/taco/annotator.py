@@ -11,7 +11,6 @@ captions.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -248,6 +247,7 @@ def class_names(classes) -> list[str]:
 
 def config_digest(params: DetectorParams, cfg: ThresholdConfig) -> str:
     """Stable short hash of detector params plus threshold rules."""
+    import hashlib  # here, so that starting the CLI does not load it
     payload = json.dumps(
         {"params": params.to_json_dict(), "thresholds": cfg.to_json_dict()},
         sort_keys=True,

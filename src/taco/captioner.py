@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .annotator import TimeSeriesClass, sorted_classes
 from .errors import EmptyCompletion, ProtocolError, ServiceError, Unavailable
@@ -155,6 +154,8 @@ def rephrase_many(texts, endpoint: str | None = None, model: str | None = None,
     base caption for that record only.  With no endpoint configured it
     raises :class:`Unavailable` once, before any request.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loaded only to rephrase
+
     endpoint = _resolve_endpoint(endpoint)
 
     def attempt(text):

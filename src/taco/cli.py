@@ -4,7 +4,8 @@ Subcommands: annotate, caption, synth, dataset, nearnbr, eval.  This module
 only parses flags and wires library calls together; no numeric logic lives
 here.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 external-service error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 external-service error,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from . import __version__
 from .annotator import DetectorParams, TimeSeriesClass, load_config
 from .captioner import DEFAULT_IN_FLIGHT, base_caption, rephrase, rephrase_many
 from .errors import InvalidArgument, ServiceError, TacoError, Unavailable
-from .evalkit import (
-    evaluate_corpus,
-    load_index,
-    nearnbr_caption,
-    record_values,
-    report_to_json,
-)
+from .evalkit import evaluate_corpus, iter_nearnbr, load_index, report_to_json
 from .pipeline import (
     IngestSpec,
     encode_record,
@@ -44,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SERVICE = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 #: Forward shape and overlay names that synth records list among their classes
@@ -266,17 +262,10 @@ def _cmd_dataset(args) -> int:
 
 
 def _cmd_nearnbr(args) -> int:
-    index = load_index(args.index)
-    rows = []
-    for record in iter_jsonl(args.queries):
-        caption, neighbor_id, mse = nearnbr_caption(
-            record_values(record, args.queries), index)
-        rows.append({
-            "id": record.id,
-            "caption_base": caption,
-            "neighbor_id": neighbor_id,
-            "mse": mse,
-        })
+    rows = [{"id": query_id, "caption_base": caption, "neighbor_id": neighbor_id,
+             "mse": mse}
+            for query_id, caption, neighbor_id, mse
+            in iter_nearnbr(load_index(args.index), args.queries)]
     write_jsonl(rows, args.out)
     return EXIT_OK
 
@@ -373,6 +362,11 @@ def run(argv=None) -> int:
         # at devnull so the interpreter's final flush of stdout stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except KeyboardInterrupt:
+        # write_atomic has removed its temporary file and the dataset
+        # stream has shut its pool down on the way out
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except _UsageError:
         return EXIT_USAGE
     except ServiceError as exc:

@@ -1,7 +1,9 @@
 """Retrieval baseline and overlap-based caption metrics.
 
-The nearest-neighbour baseline scans a training index exhaustively and
-returns the caption of the entry with minimum per-point mean squared error.
+The nearest-neighbour baseline returns the caption of the training entry
+with minimum per-point mean squared error, exactly as an exhaustive scan
+would: one matrix product screens a block of queries against the whole
+index, and only the entries the screen cannot rule out are scored exactly.
 BLEU (clipped n-gram precision with brevity penalty) and ROUGE-L (LCS-based
 F-measure) are computed on lowercase whitespace tokens with punctuation
 stripped; corpus BLEU pools counts across pairs, ROUGE-L is averaged.
@@ -14,15 +16,19 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AlignmentError, EmptyIndex, InvalidArgument, ParseError
+from .errors import AlignmentError, EmptyIndex, InvalidArgument, ParseError, TacoError
 from .pipeline import iter_jsonl
 from .signal import signal_values
 
 #: Metric keys reserved in reports for scores computed by external tools.
 EXTERNAL_METRIC_KEYS = ("meteor", "cider", "spice", "bertscore", "sentence_bert")
+
+#: Queries screened by one matrix product in :func:`iter_nearnbr`.
+QUERY_BLOCK = 64
 
 _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
 
@@ -153,6 +159,11 @@ class TrainIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
+    @cached_property
+    def row_sq(self) -> np.ndarray:
+        """Each entry's squared norm, computed once per index for the screen."""
+        return np.einsum("ij,ij->i", self.matrix, self.matrix)
+
 
 def record_values(record, path) -> np.ndarray:
     """A record's values as a non-empty 1-D finite float vector, else ParseError."""
@@ -187,22 +198,128 @@ def load_index(path) -> TrainIndex:
     return TrainIndex(ids=ids, matrix=np.vstack(rows), captions=captions)
 
 
-def nearnbr_caption(query, index: TrainIndex) -> tuple[str, str, float]:
-    """Caption of the index entry nearest to the query in mean squared error.
-
-    Exhaustive scan; ties break to the lowest index position.  The query
-    must already be resampled/normalized to the index vector length.
-    """
-    if len(index) == 0:
-        raise EmptyIndex("retrieval index is empty")
-    q = signal_values(query)
+def _check_width(q: np.ndarray, index: TrainIndex) -> np.ndarray:
     if q.size != index.matrix.shape[1]:
         raise InvalidArgument(
             f"query length {q.size} does not match index vectors "
             f"of length {index.matrix.shape[1]}")
-    mses = np.mean((index.matrix - q) ** 2, axis=1)
-    best = int(np.argmin(mses))
-    return index.captions[best], index.ids[best], float(mses[best])
+    return q
+
+
+# Why the screen keeps the scan's answer.  Take one index row m and one query
+# q of length n, u = eps/2 the unit roundoff and g(k) = k*u/(1 - k*u).  Let
+# a = |m|^2, b = |q|^2, c = m.q and D = sum((m_i - q_i)^2) = a + b - 2c in
+# exact arithmetic; then D <= 2(a + b) and sum(|m_i q_i|) <= (a + b)/2.
+#
+# Screen.  A dot product of length n is within g(n) * sum(|x_i y_i|) of its
+# exact value whatever the summation order, so for BLAS blocking, threads
+# and FMA alike: |a^ - a| <= g(n) a, |b^ - b| <= g(n) b and
+# |c^ - c| <= g(n)(a + b)/2.  The screen A = fl(fl(a^ + b^) - 2c^) adds one
+# rounding of a^ + b^ and one of the result, at most u(a + b)(1 + g(n)) and
+# u|A|, so |A - D| <= (2g(n) + 3u)(a + b)(1 + g(n)), about (2n + 3)u(a + b).
+#
+# Re-score.  The scan computes M = fl(S/n) with S the float sum of
+# fl(fl(m_i - q_i)^2).  Every term is >= 0 and meets at most n + 2 roundings
+# in any summation order, so |S - D| <= g(n + 2) D, and with the division
+# |nM - D| <= g(n + 3) D <= 2g(n + 3)(a + b), about (2n + 6)u(a + b).
+#
+# Underflow adds at most 2^-1075 per product, square or division (a sum
+# that underflows is exact), under 6n * 2^-1075 for both steps.  Together
+# |A - nM| is below about (4n + 9)u(a + b) + 6n * 2^-1075.  The bound
+#     B = 4(n + 2)(eps * fl(a^ + b^) + tiny),  tiny = 2^-1022,
+# is about (8n + 16)u(a + b) plus 2^53 times the underflow term.  Its slack
+# over the error, at least (4n + 7)u(a + b) >= 11u(a + b) while n is far
+# below 2^50, covers the roundings of B itself and of A - B and A + B, each
+# under 3u(a + b).
+#
+# So for the scan's first minimum j and any row k with finite values:
+# fl(A_j - B_j) <= nM_j <= nM_k <= fl(A_k + B_k).  Row j passes the test
+# "lower bound <= smallest upper bound".  numpy reduces each row of a
+# C-contiguous array on its own, so the re-score of the candidate rows
+# computes the scan's own M for each of them (tests/test_evalkit.py checks
+# this bit for bit) and returns j: candidates after j can only tie with
+# it.  Overflow: any overflow in the screen leaves A or B
+# infinite or NaN, and such a row is always a candidate.  A row whose
+# re-score overflows has D >= max_float (1 - g(n + 2)), so its A + B exceeds
+# max_float and overflows too; it never lowers the smallest upper bound.
+# So when some row has a finite M, the scan's first minimum is a candidate
+# as above; when none has, the smallest upper bound is infinite and every
+# row is a candidate.
+_BOUND_EPS = np.finfo(float).eps
+_BOUND_TINY = np.finfo(float).tiny
+
+
+def nearest_rows(index: TrainIndex, queries: np.ndarray) -> tuple[list, list]:
+    """Position and MSE of the nearest index entry for each row of the 2-D
+    ``queries``: the first minimum, in index order, of
+    ``np.mean((index.matrix - q) ** 2, axis=1)``, bit for bit.
+
+    One matrix product screens every query against every entry; an entry is
+    re-scored exactly only when its error bound lets it beat the best upper
+    bound (see the proof above).
+    """
+    matrix = index.matrix
+    n = matrix.shape[1]
+    positions, mses = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", queries, queries)[:, None] + index.row_sq
+        approx = norms - 2.0 * (queries @ matrix.T)
+        bound = 4.0 * (n + 2) * (_BOUND_EPS * norms + _BOUND_TINY)
+        loose = ~(np.isfinite(approx) & np.isfinite(bound))
+        best_upper = np.where(loose, np.inf, approx + bound).min(axis=1, initial=np.inf)
+        candidates = loose | (approx - bound <= best_upper[:, None])
+        for q, keep in zip(queries, candidates):
+            rows = np.flatnonzero(keep)
+            scores = np.mean((matrix[rows] - q) ** 2, axis=1)
+            best = int(np.argmin(scores))
+            positions.append(int(rows[best]))
+            mses.append(float(scores[best]))
+    return positions, mses
+
+
+def nearnbr_caption(query, index: TrainIndex) -> tuple[str, str, float]:
+    """Caption of the index entry nearest to the query in mean squared error.
+
+    Exact; ties break to the lowest index position.  The query must already
+    be resampled/normalized to the index vector length.
+    """
+    if len(index) == 0:
+        raise EmptyIndex("retrieval index is empty")
+    q = _check_width(signal_values(query), index)
+    (best,), (mse,) = nearest_rows(index, q[None, :])
+    return index.captions[best], index.ids[best], mse
+
+
+def iter_nearnbr(index: TrainIndex, path):
+    """Yield ``(query id, caption, neighbour id, mse)`` for each record of
+    the query JSONL file ``path``, in file order.
+
+    Each query becomes a float row as it is read and its record is dropped;
+    ``QUERY_BLOCK`` rows share one screen.  The first bad query in file
+    order raises: one whose values are missing, non-finite or of the wrong
+    length, or one whose MSE to its nearest entry overflows (ParseError).
+    """
+    records = iter_jsonl(path)
+    block = np.empty((QUERY_BLOCK, index.matrix.shape[1]))
+    while True:
+        ids, error = [], None
+        try:
+            for record in records:
+                block[len(ids)] = _check_width(record_values(record, path), index)
+                ids.append(record.id)
+                if len(ids) == QUERY_BLOCK:
+                    break
+        except TacoError as exc:
+            error = exc  # raised once the queries read before it are answered
+        for query_id, best, mse in zip(ids, *nearest_rows(index, block[:len(ids)])):
+            if not math.isfinite(mse):
+                raise ParseError(f"{path}: query {query_id!r} is too far from every "
+                                 f"index entry: its mean squared error overflows")
+            yield query_id, index.captions[best], index.ids[best], mse
+        if error is not None:
+            raise error
+        if len(ids) < QUERY_BLOCK:
+            return
 
 
 def _load_caption_map(path) -> dict:

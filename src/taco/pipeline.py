@@ -20,7 +20,6 @@ import os
 import sys
 from array import array
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -288,8 +287,16 @@ def _ordered(worker, context, items, jobs: int):
 
 
 def _pooled(worker, context, chunks, jobs: int):
+    # imported here, so that starting the CLI loads neither multiprocessing
+    # nor the signal module
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+
     pending = deque()
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    # Workers ignore Ctrl-C, which a terminal sends to the whole process
+    # group: the parent alone handles it and shuts the pool down below.
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=signal.signal,
+                               initargs=(signal.SIGINT, signal.SIG_IGN))
     try:
         for chunk in chunks:
             pending.append(pool.submit(_run_chunk, worker, context, chunk))

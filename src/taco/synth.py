@@ -338,7 +338,9 @@ def sample_spec(rng_seed: int, constraints=None,
     else:
         shapes = list(SHAPE_NAMES)
     rng = np.random.default_rng(rng_seed)
-    base = str(rng.choice(shapes))
+    # the draw rng.choice(shapes) makes; numpy's choice on an array can drop
+    # a KeyboardInterrupt raised while it runs, which loses a Ctrl-C
+    base = shapes[int(rng.integers(len(shapes)))]
     shape_params = _sample_params(rng, _SHAPES[base].knobs)
     overlays = {}
     for name, overlay in _OVERLAYS.items():

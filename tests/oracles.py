@@ -182,3 +182,12 @@ def rouge_l_oracle(cand_tokens, ref_tokens, beta=1.2):
     p = lcs / len(cand_tokens)
     r = lcs / len(ref_tokens)
     return (1 + beta * beta) * p * r / (r + beta * beta * p)
+
+
+def nearnbr_oracle(query, matrix):
+    """The exhaustive nearest-neighbour scan: (position, mse) of the first
+    minimum of every row's mean squared error to the query."""
+    with np.errstate(over="ignore"):
+        mses = np.mean((np.asarray(matrix) - np.asarray(query, dtype=float)) ** 2, axis=1)
+    best = int(np.argmin(mses))
+    return best, float(mses[best])

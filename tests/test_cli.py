@@ -1,10 +1,13 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
+import contextlib
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ import pytest
 import taco.captioner
 from taco.annotator import TimeSeriesClass, default_config
 from taco.captioner import classes_from_caption
-from taco.cli import EXIT_DATA, EXIT_OK, EXIT_SERVICE, EXIT_USAGE, main
+from taco.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, EXIT_SERVICE, EXIT_USAGE, main
+from taco.evalkit import QUERY_BLOCK
 from taco.pipeline import read_jsonl, write_jsonl
 
 from conftest import MockLLMHandler
@@ -380,6 +384,15 @@ def _nearnbr_with(side, bad):
     return build
 
 
+def _nearnbr_overflow(tmp_path):
+    write_jsonl([{"id": "t0", "caption_base": "cap", "values": [1e200] * 16}],
+                tmp_path / "index.jsonl")
+    write_jsonl([{"id": "q0", "caption_base": "", "values": [-1e200] * 16}],
+                tmp_path / "query.jsonl")
+    return ["nearnbr", "--index", str(tmp_path / "index.jsonl"),
+            "--queries", str(tmp_path / "query.jsonl")]
+
+
 def _dataset_with(flag, body):
     def build(tmp_path):
         path = tmp_path / "settings.json"
@@ -426,6 +439,7 @@ def _rising_cutoff(cutoff):
     _nearnbr_with("query", "abc"),
     _nearnbr_with("query", [1.0]),
     _nearnbr_with("query", float("nan")),
+    _nearnbr_overflow,
     _jsonl_with("caption", "classes", None),
     _jsonl_with("caption", "classes", "Rising"),
     _jsonl_with("caption", "classes", ["Rising", 3]),
@@ -439,7 +453,7 @@ def _rising_cutoff(cutoff):
 ], ids=["params-k-segments-string", "params-spike-sigma-null", "config-cutoff-string",
         "config-cutoff-null", "nearnbr-null-value", "nearnbr-index-string-value",
         "nearnbr-query-null-value", "nearnbr-query-string-value",
-        "nearnbr-query-nested-value", "nearnbr-query-nan-token",
+        "nearnbr-query-nested-value", "nearnbr-query-nan-token", "nearnbr-mse-overflow",
         "caption-classes-null", "caption-classes-string", "caption-classes-number-item",
         "caption-scores-list", "eval-classes-null", "eval-scores-list",
         "eval-caption-base-null", "eval-caption-rephrased-number", "eval-duplicate-id",
@@ -450,6 +464,23 @@ def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({10: [0.5] * 15, QUERY_BLOCK + 5: None}, "query length 15 does not match"),
+    ({3: [-1e200] * 16, 10: [0.5] * 15}, "query 'q3' is too far from every index entry"),
+], ids=["wrong-length-before-null-next-block", "overflow-before-wrong-length-same-block"])
+def test_nearnbr_reports_first_bad_query(bad, message, tmp_path, capsys):
+    write_jsonl([{"id": f"t{i}", "caption_base": f"cap {i}", "values": [float(i)] * 16}
+                 for i in range(3)], tmp_path / "index.jsonl")
+    write_jsonl([{"id": f"q{i}", "caption_base": "", "values": bad.get(i, [0.5] * 16)}
+                 for i in range(2 * QUERY_BLOCK)], tmp_path / "query.jsonl")
+    out = tmp_path / "pred.jsonl"
+    assert main(["nearnbr", "--index", str(tmp_path / "index.jsonl"),
+                 "--queries", str(tmp_path / "query.jsonl"), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not out.exists()
 
 
@@ -519,6 +550,25 @@ def test_blank_cell_skips_only_its_window(blank_row, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _taco_env() -> dict:
+    """The environment for a taco subprocess: this source tree on the path,
+    and stdout block-buffered, as in a shell."""
+    src = os.path.dirname(os.path.dirname(taco.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_no_pool_logging_or_hash_modules():
+    # process and thread pools and hashing load where they are used, so a
+    # launch pays for none of them or what they import
+    probe = ("import sys, taco.cli; print([m for m in ('concurrent.futures', "
+             "'multiprocessing', 'socket', 'logging', 'hashlib') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], env=_taco_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv, lines_read", [
     (["synth", "--count", "200"], 1),
     (["caption", "--classes", "Rising"], 0),
@@ -529,17 +579,49 @@ def test_closed_stdout_exits_quietly(argv, lines_read, tmp_path):
     # pipe only when it is flushed; the dataset run still has pool work in flight
     argv = [arg.format(csv=tmp_path / "sines.csv") for arg in argv]
     _sine_csv(tmp_path / "sines.csv", 24)
-    src = os.path.dirname(os.path.dirname(taco.__file__))
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "taco.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_taco_env())
     for _ in range(lines_read):
         assert proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == EXIT_OK
     assert err == b""
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize("argv", [
+    ["synth", "--count", "100000"],
+    ["dataset", "--input", "{csv}", "--jobs", "2"],
+], ids=["synth", "dataset-jobs2"])
+def test_ctrl_c_exits_130_and_leaves_no_file(argv, tmp_path):
+    # Ctrl-C reaches the whole process group, pool workers included; it is
+    # sent once the temporary output file holds a line, so the run is writing
+    argv = [arg.format(csv=tmp_path / "sines.csv") for arg in argv]
+    if "dataset" in argv:
+        _sine_csv(tmp_path / "sines.csv", 400)
+    out = tmp_path / "out.jsonl"
+    proc = subprocess.Popen([sys.executable, "-m", "taco.cli", *argv, "--out", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_taco_env(), start_new_session=True)
+    deadline = time.monotonic() + 60
+    try:
+        while not any(tmp.stat().st_size for tmp in tmp_path.glob(".out.jsonl.*.tmp")):
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                proc.wait(timeout=0.01)
+            assert proc.returncode is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "no output line within 60 s"
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.returncode is None:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert (proc.returncode, err) == (EXIT_INTERRUPTED, b"error: interrupted\n")
+    assert [path.name for path in tmp_path.iterdir() if "out.jsonl" in path.name] == []
+    with pytest.raises(ProcessLookupError):  # the pool's workers are gone too
+        os.killpg(proc.pid, 0)
 
 
 def test_dataset_bad_later_input_writes_nothing(tmp_path, capsys):
@@ -585,11 +667,8 @@ def _peak_rss_mb(argv, tmp_path) -> float:
             "atexit.register(peak)\n"
             "from taco.cli import main\n"
             "sys.exit(main())\n")
-    src = os.path.dirname(os.path.dirname(taco.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=env, cwd=tmp_path, timeout=300)
+                          text=True, env=_taco_env(), cwd=tmp_path, timeout=300)
     assert proc.returncode == EXIT_OK, proc.stderr
     kib = proc.stderr.split("peak-rss-kib")[-1].split()[0]
     return int(kib) / 1024

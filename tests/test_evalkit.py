@@ -10,18 +10,21 @@ import pytest
 from taco.errors import AlignmentError, EmptyIndex, InvalidArgument
 from taco.evalkit import (
     EXTERNAL_METRIC_KEYS,
+    QUERY_BLOCK,
     TrainIndex,
     bleu_n,
     corpus_bleu,
     evaluate_corpus,
+    iter_nearnbr,
     load_index,
+    nearest_rows,
     nearnbr_caption,
     rouge_l,
     tokenize,
 )
 from taco.pipeline import DatasetRecord, write_jsonl
 
-from oracles import bleu_oracle, lcs_oracle, rouge_l_oracle
+from oracles import bleu_oracle, lcs_oracle, nearnbr_oracle, rouge_l_oracle
 
 #: Ten caption pairs with frozen oracle scores (computed by the brute-force
 #: implementations in oracles.py).
@@ -209,6 +212,116 @@ def test_nearnbr_length_mismatch():
     index = make_index([np.zeros(16)])
     with pytest.raises(InvalidArgument):
         nearnbr_caption(np.zeros(8), index)
+
+
+def assert_matches_oracle(vectors, queries):
+    index = make_index(vectors)
+    queries = np.asarray(queries, dtype=float)
+    positions, mses = nearest_rows(index, queries)
+    expected = [nearnbr_oracle(q, index.matrix) for q in queries]
+    assert list(zip(positions, mses)) == expected
+    for q, (position, mse) in zip(queries, expected):
+        caption, neighbor, one_mse = nearnbr_caption(q, index)
+        assert (caption, neighbor, one_mse) == (f"caption {position}",
+                                                 f"train-{position}", mse)
+
+
+def test_nearest_rows_ties_go_to_lowest_position():
+    rng = np.random.default_rng(77)
+    base = rng.uniform(size=(6, 64))
+    vectors = np.vstack([base, base[::-1], base])  # every row appears 3 times
+    assert_matches_oracle(vectors, np.vstack([base, base + 1e-3]))
+
+
+def test_nearest_rows_rows_one_ulp_apart():
+    rng = np.random.default_rng(78)
+    row = rng.uniform(-1.0, 1.0, size=128)
+    vectors = [row, np.nextafter(row, np.inf), np.nextafter(row, -np.inf), row]
+    for k in (0, 5, 127):
+        bumped = row.copy()
+        bumped[k] = np.nextafter(bumped[k], np.inf)
+        vectors.append(bumped)
+    queries = [row, np.nextafter(row, np.inf), vectors[-1], row + 1e-12]
+    assert_matches_oracle(vectors, queries)
+
+
+def test_nearest_rows_constant_and_zero_rows():
+    levels = [0.0, 0.0, 0.25, -0.25, 1.0, 0.25, 0.0]
+    vectors = [np.full(48, level) for level in levels]
+    queries = [np.full(48, level) for level in (0.0, 0.125, 0.25, -1.0, 0.6)]
+    queries.append(np.linspace(-1.0, 1.0, 48))
+    assert_matches_oracle(vectors, queries)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-158, 1e-150, 1e-20, 1.0, 1e20,
+                                   1e150, 1e155, 1e200])
+def test_nearest_rows_across_magnitudes(scale):
+    # from values whose squares underflow to values that overflow the screen
+    rng = np.random.default_rng(79)
+    vectors = rng.uniform(-1.0, 1.0, size=(40, 96)) * scale
+    vectors[7] = vectors[3]
+    queries = np.vstack([rng.uniform(-1.0, 1.0, size=(5, 96)) * scale, vectors[3],
+                         vectors[:4] * 1.0000001])
+    assert_matches_oracle(vectors, queries)
+
+
+@pytest.mark.parametrize("scale", [1e-161, 1e-160, 1e-158])
+def test_nearest_rows_mses_that_underflow(scale):
+    # rows near the query at a scale where squares are subnormal: several
+    # MSEs round to 0.0 and the first of them must win
+    rng = np.random.default_rng(84)
+    q = rng.uniform(-1.0, 1.0, 150) * scale
+    spread = scale * 10.0 ** rng.uniform(-3.0, 0.0, (40, 1))
+    assert_matches_oracle(q + rng.normal(0.0, 1.0, (40, 150)) * spread, [q])
+
+
+def test_nearest_rows_mixed_magnitudes():
+    # rows a screen overflows on sit beside ordinary ones
+    rng = np.random.default_rng(80)
+    scales = 10.0 ** rng.integers(-150, 200, size=60)
+    vectors = rng.uniform(-1.0, 1.0, size=(60, 32)) * scales[:, None]
+    queries = np.vstack([vectors[::7] * 0.999, rng.uniform(-1.0, 1.0, size=(4, 32))])
+    assert_matches_oracle(vectors, queries)
+
+
+def test_nearest_rows_every_mse_overflows():
+    # the scan's first minimum is then row 0, with an infinite mse
+    vectors = np.full((3, 16), 1e200)
+    vectors[1] = 2e200
+    assert nearnbr_oracle(np.full(16, -1e200), vectors) == (0, math.inf)
+    assert_matches_oracle(vectors, [np.full(16, -1e200), np.full(16, -3e200)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 1000, 2048, 2049])
+def test_nearest_rows_vector_lengths(n):
+    rng = np.random.default_rng(81 + n)
+    vectors = rng.uniform(size=(30, n))
+    vectors[11] = vectors[4]
+    queries = np.vstack([rng.uniform(size=(6, n)), vectors[4],
+                         vectors[20] + rng.normal(0.0, 1e-9, n)])
+    assert_matches_oracle(vectors, queries)
+
+
+@pytest.mark.parametrize("count", [1, QUERY_BLOCK - 1, QUERY_BLOCK, QUERY_BLOCK + 1])
+def test_nearest_rows_query_counts(count):
+    # noisy copies of index rows, as the retrieval benchmark draws them
+    rng = np.random.default_rng(82)
+    vectors = rng.uniform(size=(80, 256))
+    queries = vectors[rng.integers(0, 80, count)] + rng.normal(0.0, 0.05, (count, 256))
+    assert_matches_oracle(vectors, queries)
+
+
+@pytest.mark.parametrize("count", [1, QUERY_BLOCK - 1, QUERY_BLOCK, QUERY_BLOCK + 1])
+def test_iter_nearnbr_answers_every_query_in_order(count, tmp_path):
+    rng = np.random.default_rng(83)
+    vectors = rng.uniform(size=(20, 32))
+    queries = rng.uniform(size=(count, 32))
+    path = tmp_path / "q.jsonl"
+    write_jsonl([{"id": f"q{i}", "caption_base": "", "values": q.tolist()}
+                 for i, q in enumerate(queries)], path)
+    index = make_index(vectors)
+    expected = [(f"q{i}", *nearnbr_caption(q, index)) for i, q in enumerate(queries)]
+    assert list(iter_nearnbr(index, path)) == expected
 
 
 def test_load_index_from_jsonl(tmp_path):

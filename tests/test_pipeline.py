@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from taco.annotator import TimeSeriesClass, config_digest, default_config
 from taco.detectors import DetectorParams
 from taco.errors import InvalidArgument, ParseError
 from taco.pipeline import (
+    CHUNK_TASKS,
     DatasetRecord,
     IngestSpec,
     build_dataset,
     build_forward_dataset,
     ingest_csv,
+    _ordered,
     read_jsonl,
     write_jsonl,
 )
@@ -286,3 +289,13 @@ def test_jsonl_infinite_scores_serialized_as_null(tmp_path):
     data = json.loads(path.read_text())
     assert data["scores"]["periodicity_gap"] is None
     assert data["scores"]["trend"] == 0.0
+
+
+def _sigint_disposition(context, item):
+    return signal.getsignal(signal.SIGINT)
+
+
+def test_pool_workers_ignore_ctrl_c():
+    # a terminal sends Ctrl-C to idle pool workers too; only the parent acts on it
+    dispositions = _ordered(_sigint_disposition, None, range(3 * CHUNK_TASKS), jobs=2)
+    assert set(dispositions) == {signal.SIG_IGN}
