@@ -10,6 +10,7 @@ captions.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .detectors import SCORE_NAMES, DetectorParams, ScoreVector, score_all
-from .errors import InvalidConfig
+from .errors import InvalidConfig, ParseError
 from .signal import Series, minmax_normalize
 
 
@@ -184,6 +185,38 @@ def default_config() -> ThresholdConfig:
     return ThresholdConfig(rules=dict(DEFAULT_RULES))
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a finite JSON number")
+
+
+#: The one JSON decoder for input files; it refuses ``NaN`` and ``Infinity``.
+STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+@contextlib.contextmanager
+def opened(path, error=ParseError, newline=None):
+    """Open input file ``path`` as UTF-8 text; an ``OSError`` or
+    ``UnicodeDecodeError`` in the ``with`` body becomes ``error``."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:  # its offsets count within a chunk, not the file
+        raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+def load_json(path, error):
+    """The JSON document in file ``path``; a file :func:`opened` refuses, or
+    one that :data:`STRICT_DECODER` cannot decode, raises ``error``."""
+    with opened(path, error) as handle:
+        text = handle.read()
+    try:
+        return STRICT_DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise error(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_config(path: str | Path | None = None) -> ThresholdConfig:
     """Load a threshold config from JSON, or the embedded defaults.
 
@@ -192,14 +225,7 @@ def load_config(path: str | Path | None = None) -> ThresholdConfig:
     """
     if path is None:
         return default_config()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InvalidConfig(f"cannot read config file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config file {path} is not valid JSON: {exc}") from exc
+    data = load_json(path, InvalidConfig)
     if not isinstance(data, dict):
         raise InvalidConfig("config must be a JSON object mapping class to rule")
     rules = {}
@@ -215,7 +241,7 @@ def load_config(path: str | Path | None = None) -> ThresholdConfig:
             raise InvalidConfig(f"rule for {name} missing key {missing[0]!r}")
         try:
             cutoff = float(body["cutoff"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(
                 f"rule for {name} has a non-numeric cutoff {body['cutoff']!r}") from exc
         rules[cls] = ClassRule(score=body["score"], direction=body["direction"], cutoff=cutoff)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from dataclasses import replace
 from itertools import chain, islice
 
 from . import __version__
-from .annotator import DetectorParams, TimeSeriesClass, load_config
+from .annotator import DetectorParams, TimeSeriesClass, load_config, load_json
 from .captioner import DEFAULT_IN_FLIGHT, base_caption, rephrase, rephrase_many
 from .errors import InvalidArgument, ServiceError, TacoError, Unavailable
 from .evalkit import evaluate_corpus, iter_nearnbr, load_index, report_to_json
@@ -75,12 +74,7 @@ def _int_at_least(minimum: int):
 def _load_params(path: str | None) -> DetectorParams:
     if path is None:
         return DetectorParams()
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidArgument(f"params file {path} is not valid JSON: {exc}") from exc
-    return DetectorParams.from_json_dict(data)
+    return DetectorParams.from_json_dict(load_json(path, InvalidArgument))
 
 
 def _report_skips(skips, skip_path: str | None) -> None:
@@ -239,6 +233,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_dataset(args) -> int:
+    if (args.skip_log and args.out
+            and os.path.realpath(args.skip_log) == os.path.realpath(args.out)):
+        print("error: --skip-log must not name the --out file", file=sys.stderr)
+        return EXIT_USAGE
     params = _load_params(args.params)
     cfg = load_config(args.config)
     skips: list = []

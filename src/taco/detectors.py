@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,7 +63,7 @@ class DetectorParams:
         if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 2:
             raise InvalidArgument(f"k_segments must be an integer >= 2, got {k!r}")
         sigma = self.spike_sigma
-        if not _is_real(sigma) or not 0.0 < sigma < math.inf:
+        if not _is_real(sigma) or not 0.0 < sigma <= sys.float_info.max:
             raise InvalidArgument(f"spike_sigma must be a finite number > 0, got {sigma!r}")
         fracs = self.step_kernel_fracs
         if not isinstance(fracs, (list, tuple)) or not fracs:

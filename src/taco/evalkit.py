@@ -171,7 +171,7 @@ def record_values(record, path) -> np.ndarray:
         raise ParseError(f"{path}: record {record.id!r} has no values")
     try:
         values = np.asarray(record.values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         values = np.empty(0)
     if values.ndim != 1 or not values.size or not np.isfinite(values).all():
         raise ParseError(f"{path}: record {record.id!r} has null, non-finite "

@@ -27,11 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from .annotator import (
+    STRICT_DECODER,
     DetectorParams,
     ThresholdConfig,
     annotate,
     config_digest,
     default_config,
+    opened,
 )
 from .captioner import base_caption
 from .errors import InvalidArgument, ParseError, TacoError
@@ -125,53 +127,52 @@ def _read_csv_columns(path: str, wanted: tuple | None) -> dict:
     parses as a float.  Cells are parsed row by row into float64 storage; a
     blank cell is a missing sample (NaN).
     """
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open {path}: {exc}") from exc
-    with handle:
+    header, rows = None, 0  # rows: data rows read
+    with opened(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path} is empty, expected a header row") from None
-        columns = {}  # header index -> float64 storage
-        undecided = {}  # header index -> blank cells before its first non-blank one
-        if wanted is None:
-            undecided = dict.fromkeys(range(len(header)), 0)
-        else:
-            missing = [c for c in wanted if c not in header]
-            if missing:
-                raise ParseError(f"{path} has no columns named {missing}")
-            for idx, name in enumerate(header):
-                if name in wanted:
-                    _claim(path, header, columns, idx, array("d"))
-        rows = 0
-        for rows, row in enumerate(reader, start=1):
-            width = len(row)
-            for idx, store in columns.items():
-                cell = row[idx] if idx < width else ""
-                try:
-                    store.append(float(cell))
-                except ValueError:
-                    if cell.strip():
-                        raise ParseError(
-                            f"{path}: non-numeric cell {cell!r} at row {rows}, "
-                            f"column {header[idx]}",
-                            row=rows, column=header[idx]) from None
-                    store.append(np.nan)  # a blank cell is a missing sample
-            if undecided:
-                for idx in list(undecided):
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path} is empty, expected a header row")
+            columns = {}  # header index -> float64 storage
+            undecided = {}  # header index -> blank cells before its first non-blank one
+            if wanted is None:
+                undecided = dict.fromkeys(range(len(header)), 0)
+            else:
+                missing = [c for c in wanted if c not in header]
+                if missing:
+                    raise ParseError(f"{path} has no columns named {missing}")
+                for idx, name in enumerate(header):
+                    if name in wanted:
+                        _claim(path, header, columns, idx, array("d"))
+            for rows, row in enumerate(reader, start=1):
+                width = len(row)
+                for idx, store in columns.items():
                     cell = row[idx] if idx < width else ""
-                    if not cell.strip():
-                        undecided[idx] += 1
-                        continue
-                    blanks = undecided.pop(idx)
                     try:
-                        value = float(cell)
+                        store.append(float(cell))
                     except ValueError:
-                        continue  # a text column
-                    _claim(path, header, columns, idx, array("d", [np.nan] * blanks + [value]))
+                        if cell.strip():
+                            raise ParseError(
+                                f"{path}: non-numeric cell {cell!r} at row {rows}, "
+                                f"column {header[idx]}",
+                                row=rows, column=header[idx]) from None
+                        store.append(np.nan)  # a blank cell is a missing sample
+                if undecided:
+                    for idx in list(undecided):
+                        cell = row[idx] if idx < width else ""
+                        if not cell.strip():
+                            undecided[idx] += 1
+                            continue
+                        blanks = undecided.pop(idx)
+                        try:
+                            value = float(cell)
+                        except ValueError:
+                            continue  # a text column
+                        _claim(path, header, columns, idx, array("d", [np.nan] * blanks + [value]))
+        except csv.Error as exc:
+            where = "the header row" if header is None else f"row {rows + 1}"
+            raise ParseError(f"{path}: malformed CSV at {where}: {exc}", row=rows + 1) from None
     if wanted is None:
         if not rows:
             raise ParseError(f"{path} has a header but no data rows")
@@ -430,13 +431,6 @@ def write_atomic(path, write):
     return result
 
 
-def _reject_constant(token: str):
-    raise ValueError(f"{token} is not a finite JSON number")
-
-
-#: Refuses the ``NaN``/``Infinity`` tokens that ``write_jsonl`` never writes.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
 #: Record fields whose type :func:`read_jsonl` checks when present:
 #: name -> (test, what the field must be).
 _FIELD_TYPES = {
@@ -455,18 +449,14 @@ def iter_jsonl(path):
     tokens ``NaN``, ``Infinity`` and ``-Infinity``, and a field of the wrong
     type) raise :class:`ParseError` carrying the 1-based line number.
     """
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot open {path}: {exc}") from exc
-    with handle:
+    with opened(path) as handle:
         for line_num, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped and line.endswith("\n"):
                 continue
             try:
-                data = _DECODER.decode(stripped)
-            except ValueError as exc:
+                data = STRICT_DECODER.decode(stripped)
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(
                     f"{path}: malformed JSON at line {line_num}: {exc}",
                     line=line_num) from None

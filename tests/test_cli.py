@@ -248,6 +248,23 @@ def test_dataset_skip_log(tmp_path):
     assert len(skips) == 1 and "InvalidSignal" in skips[0]["reason"]
 
 
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+def test_dataset_skip_log_naming_out_is_usage_error(link, csv_with_bad_window, tmp_path,
+                                                    capsys):
+    out = tmp_path / "same.jsonl"
+    out.write_text("earlier\n")
+    skip_log = out
+    if link:
+        skip_log = tmp_path / "link.jsonl"
+        skip_log.symlink_to(out)
+    assert main(["dataset", "--input", csv_with_bad_window, "--out", str(out),
+                 "--skip-log", str(skip_log)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --skip-log must not name the --out file\n"
+    assert out.read_text() == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        {"mixed.csv", "same.jsonl", skip_log.name})
+
+
 def test_nearnbr_subcommand(tmp_path):
     train = tmp_path / "train.jsonl"
     write_jsonl([{"id": f"t{i}", "caption_base": f"cap {i}",
@@ -422,6 +439,32 @@ def _jsonl_with(command, field, value):
     return build
 
 
+_DEEP = b"[" * 100000 + b"]" * 100000
+_LONG_INT = b"1" * 5000  # past Python's int-digit limit, so int() raises ValueError
+
+
+def _reading_bad(command, body: bytes):
+    """``command`` reading a file ``bad.*`` that holds ``body``; its message
+    must name that file."""
+    def build(tmp_path):
+        ramp = tmp_path / "ramp.csv"
+        ramp.write_text("v\n" + "\n".join(str(i) for i in range(300)) + "\n")
+        good = tmp_path / "good.jsonl"
+        write_jsonl([{"id": "a", "caption_base": "x", "values": [0.5] * 16}], good)
+        suffix = {"dataset": ".csv", "--params": ".json", "--config": ".json"}
+        bad = tmp_path / f"bad{suffix.get(command, '.jsonl')}"
+        bad.write_bytes(body)
+        return {
+            "dataset": ["dataset", "--input", str(bad)],
+            "--params": ["dataset", "--input", str(ramp), "--params", str(bad)],
+            "--config": ["dataset", "--input", str(ramp), "--config", str(bad)],
+            "eval": ["eval", "--candidates", str(good), "--references", str(bad)],
+            "nearnbr": ["nearnbr", "--index", str(bad), "--queries", str(good)],
+            "caption": ["caption", "--input", str(bad)],
+        }[command]
+    return build
+
+
 def _rising_cutoff(cutoff):
     body = default_config().to_json_dict()
     body["Rising"]["cutoff"] = cutoff
@@ -433,8 +476,12 @@ def _rising_cutoff(cutoff):
     _dataset_with("--params", {"spike_sigma": None}),
     _dataset_with("--config", _rising_cutoff("abc")),
     _dataset_with("--config", _rising_cutoff(None)),
+    _dataset_with("--params", {"spike_sigma": 10**400}),
+    _dataset_with("--config", _rising_cutoff(10**400)),
     _index_with_null,
     _nearnbr_with("index", "abc"),
+    _nearnbr_with("index", 10**400),
+    _nearnbr_with("query", -10**400),
     _nearnbr_with("query", None),
     _nearnbr_with("query", "abc"),
     _nearnbr_with("query", [1.0]),
@@ -450,14 +497,33 @@ def _rising_cutoff(cutoff):
     _jsonl_with("eval", "caption_rephrased", 5),
     _jsonl_with("eval", "id", "a"),
     _inputs_sharing_name,
+    _reading_bad("dataset", b"v\n" + b"0\n" * 150 + b"1\xff\n" + b"2\n" * 149),
+    _reading_bad("eval", b'{"id": "a", "caption_base": "x\xff"}\n'),
+    _reading_bad("nearnbr", b'{"id": "t0", "caption_base": "\xff", "values": [0.5]}\n'),
+    _reading_bad("caption", b'{"id": "a", "classes": ["Rising\xff"]}\n'),
+    _reading_bad("--params", b'{"k_segments": "\xff"}'),
+    _reading_bad("--config", b'{"Rising\xff": {}}'),
+    _reading_bad("eval", _DEEP + b"\n"),
+    _reading_bad("nearnbr", _DEEP + b"\n"),
+    _reading_bad("--params", _DEEP),
+    _reading_bad("--config", _DEEP),
+    _reading_bad("--params", b'{"k_segments": ' + _LONG_INT + b"}"),
+    _reading_bad("--config", b'{"Rising": ' + _LONG_INT + b"}"),
+    _reading_bad("dataset", b"v\n" + b"1" * 131073 + b"\n"),
 ], ids=["params-k-segments-string", "params-spike-sigma-null", "config-cutoff-string",
-        "config-cutoff-null", "nearnbr-null-value", "nearnbr-index-string-value",
+        "config-cutoff-null", "params-spike-sigma-past-float", "config-cutoff-past-float",
+        "nearnbr-null-value", "nearnbr-index-string-value", "nearnbr-index-past-float",
+        "nearnbr-query-past-float",
         "nearnbr-query-null-value", "nearnbr-query-string-value",
         "nearnbr-query-nested-value", "nearnbr-query-nan-token", "nearnbr-mse-overflow",
         "caption-classes-null", "caption-classes-string", "caption-classes-number-item",
         "caption-scores-list", "eval-classes-null", "eval-scores-list",
         "eval-caption-base-null", "eval-caption-rephrased-number", "eval-duplicate-id",
-        "dataset-inputs-sharing-name"])
+        "dataset-inputs-sharing-name", "dataset-csv-not-utf8", "eval-not-utf8",
+        "nearnbr-not-utf8", "caption-not-utf8", "params-not-utf8", "config-not-utf8",
+        "eval-deep-nesting", "nearnbr-deep-nesting", "params-deep-nesting",
+        "config-deep-nesting", "params-long-int", "config-long-int",
+        "dataset-csv-field-too-long"])
 def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(build(tmp_path) + ["--out", str(out)]) == EXIT_DATA
@@ -465,6 +531,8 @@ def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+    for bad in tmp_path.glob("bad.*"):
+        assert str(bad) in err
 
 
 @pytest.mark.parametrize("bad, message", [

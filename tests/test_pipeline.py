@@ -101,6 +101,32 @@ def test_ingest_text_column_with_blank_first_cell_left_out(tmp_path):
     assert tags == ["mixed.csv#a#0", "mixed.csv#a#1"]
 
 
+def test_crlf_files_read_like_lf(tmp_path):
+    csv_text = "a,b\n" + "".join(f"{i}.5,{-i}\n" for i in range(40))
+    records, _ = build_forward_dataset(3, master_seed=5)
+    jsonl_text = "".join(json.dumps(r.to_json_dict()) + "\n" for r in records)
+    read = {}
+    for ending in ("\n", "\r\n"):
+        tag = "crlf" if ending == "\r\n" else "lf"
+        csv_path, jsonl_path = tmp_path / tag / "x.csv", tmp_path / tag / "x.jsonl"
+        csv_path.parent.mkdir()
+        csv_path.write_bytes(csv_text.replace("\n", ending).encode())
+        jsonl_path.write_bytes(jsonl_text.replace("\n", ending).encode())
+        windows = ingest_csv(IngestSpec(inputs=(csv_path,), window_len=16))
+        read[tag] = ([(name, w.tolist()) for name, w in windows],
+                     [r.to_json_dict() for r in read_jsonl(jsonl_path)])
+    assert read["crlf"] == read["lf"]
+    assert len(read["lf"][0]) == 4 and len(read["lf"][1]) == 3
+
+
+def test_ingest_csv_error_names_file_and_row(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("a\n1\n" + "2" * 200000 + "\n")
+    with pytest.raises(ParseError, match=f"{path}: malformed CSV at row 2") as err:
+        list(ingest_csv(IngestSpec(inputs=(path,), window_len=16)))
+    assert err.value.row == 2
+
+
 def test_ingest_column_selection(tmp_path):
     path = tmp_path / "two.csv"
     write_csv(path, {"a": list(np.arange(64.0)), "b": list(np.arange(64.0))})
