@@ -48,7 +48,7 @@ _FORWARD_ONLY_NAMES = (frozenset(SHAPE_NAMES + OVERLAY_NAMES)
 
 
 class _UsageError(Exception):
-    pass
+    """A usage problem; :func:`main` prints it as one ``error:`` line."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_help(sys.stderr)
-        print(f"\nerror: {message}", file=sys.stderr)
+        print(file=sys.stderr)
         raise _UsageError(message)
 
 
@@ -78,16 +78,21 @@ def _load_params(path: str | None) -> DetectorParams:
 
 
 def _report_skips(skips, skip_path: str | None) -> None:
-    """Write skips to a sidecar file when given one, else one stderr line each."""
-    if not skips:
-        return
+    """Report skips on stderr: a count when the sidecar ``skip_path`` holds
+    them, else one line each."""
     if skip_path:
-        write_jsonl(skips, skip_path)
-        print(f"{len(skips)} window(s) skipped, reasons in {skip_path}",
-              file=sys.stderr)
+        if skips:
+            print(f"{len(skips)} window(s) skipped, reasons in {skip_path}",
+                  file=sys.stderr)
     else:
         for entry in skips:
             print(f"skipped {entry['source']}: {entry['reason']}", file=sys.stderr)
+
+
+def _then(items, action):
+    """Yield ``items``, then call ``action()``."""
+    yield from items
+    action()
 
 
 def _add_ingest_flags(parser) -> None:
@@ -153,9 +158,8 @@ def _rephrased(items, caption_of, args, in_flight: int):
 
 def _ingest_spec(args) -> IngestSpec:
     if args.target_len < args.window:
-        message = f"--target-len {args.target_len} must be at least --window {args.window}"
-        print(f"error: {message}", file=sys.stderr)
-        raise _UsageError(message)
+        raise _UsageError(
+            f"--target-len {args.target_len} must be at least --window {args.window}")
     return IngestSpec(
         inputs=tuple(args.input),
         columns=tuple(args.column) if args.column else None,
@@ -185,9 +189,7 @@ def _cmd_annotate(args) -> int:
 
 def _cmd_caption(args) -> int:
     if bool(args.classes) == bool(args.input):
-        print("error: caption needs exactly one of --classes or --input",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("caption needs exactly one of --classes or --input")
     if args.classes:
         classes = {TimeSeriesClass.from_name(n.strip())
                    for n in args.classes.split(",") if n.strip()}
@@ -210,9 +212,8 @@ def _cmd_caption(args) -> int:
 
 def _cmd_synth(args) -> int:
     if args.annotate_also and args.length < MIN_SERIES_LEN:
-        print(f"error: --annotate-also needs --length of at least {MIN_SERIES_LEN}, "
-              f"got {args.length}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--annotate-also needs --length of at least {MIN_SERIES_LEN}, "
+                          f"got {args.length}")
     params = _load_params(args.params)
     cfg = load_config(args.config)
     constraints = ([s.strip() for s in args.shapes.split(",") if s.strip()]
@@ -235,8 +236,8 @@ def _cmd_synth(args) -> int:
 def _cmd_dataset(args) -> int:
     if (args.skip_log and args.out
             and os.path.realpath(args.skip_log) == os.path.realpath(args.out)):
-        print("error: --skip-log must not name the --out file", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--skip-log must not name the --out file")
+    skip_path = args.skip_log or (f"{args.out}.skipped.jsonl" if args.out else None)
     params = _load_params(args.params)
     cfg = load_config(args.config)
     skips: list = []
@@ -252,10 +253,11 @@ def _cmd_dataset(args) -> int:
         records = (replace(record, caption_rephrased=new) for record, new in
                    _rephrased(stream, lambda record: record.caption_base, args,
                               DEFAULT_IN_FLIGHT))
+    if skip_path:  # after the last line, so the sidecar is in place before --out
+        records = _then(records, lambda: write_jsonl(skips, skip_path))
     with contextlib.closing(stream):  # a closed stdout shuts the pool down here
         write_jsonl(records, args.out)
-    _report_skips(skips, args.skip_log
-                  or (f"{args.out}.skipped.jsonl" if args.out else None))
+    _report_skips(skips, skip_path)
     return EXIT_OK
 
 
@@ -345,7 +347,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def run(argv=None) -> int:
+def main(argv=None) -> int:
+    """Run the ``taco`` command line on ``argv`` and return its exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -365,7 +368,8 @@ def run(argv=None) -> int:
         # stream has shut its pool down on the way out
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
-    except _UsageError:
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -373,10 +377,6 @@ def run(argv=None) -> int:
     except (TacoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-def main(argv=None) -> int:
-    return run(argv)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import os
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from pathlib import Path
 
@@ -40,51 +40,58 @@ from .errors import InvalidArgument, ParseError, TacoError
 from .signal import MIN_SERIES_LEN, Series, minmax_normalize, resample_linear
 from .synth import generate, sample_spec
 
+
+def _record_field(expected: str, valid, encode=None, **default):
+    """A record field whose JSON value must pass ``valid`` (``expected`` says
+    what that is) and is written as ``encode(value)``, or as it is."""
+    return field(metadata={"json": (valid, expected, encode)}, **default)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _finite_scores(scores: dict) -> dict:
+    """Scores with each non-finite value as None, which JSON can hold."""
+    return {name: (value if value is None or np.isfinite(value) else None)
+            for name, value in scores.items()}
+
+
 @dataclass(frozen=True)
 class DatasetRecord:
-    """One dataset row pairing a signal with its classes, scores and caption."""
+    """One dataset row pairing a signal with its classes, scores and caption.
 
-    id: str
-    source: str
-    classes: list
-    scores: dict
-    caption_base: str
-    caption_rephrased: str | None = None
-    config_digest: str = ""
-    values: list | None = None
+    The fields are the record's JSON keys, in output order; a key missing
+    from a line read back takes the field's default.
+    """
+
+    id: str = _record_field("a string", _is_str, default="")
+    source: str = _record_field("a string", _is_str, default="")
+    classes: list = _record_field(
+        "a list of strings", lambda v: isinstance(v, list) and all(map(_is_str, v)),
+        list, default_factory=list)
+    scores: dict = _record_field("an object", lambda v: isinstance(v, dict), _finite_scores,
+                                 default_factory=dict)
+    caption_base: str = _record_field("a string", _is_str, default="")
+    caption_rephrased: str | None = _record_field(
+        "a string or null", lambda v: v is None or _is_str(v), default=None)
+    config_digest: str = _record_field("a string", _is_str, default="")
+    values: list | None = _record_field(
+        "a list or null", lambda v: v is None or isinstance(v, list),
+        lambda v: None if v is None else list(v), default=None)
 
     def to_json_dict(self) -> dict:
-        scores = {
-            name: (value if value is None or np.isfinite(value) else None)
-            for name, value in self.scores.items()
-        }
-        return {
-            "id": self.id,
-            "source": self.source,
-            "classes": list(self.classes),
-            "scores": scores,
-            "caption_base": self.caption_base,
-            "caption_rephrased": self.caption_rephrased,
-            "config_digest": self.config_digest,
-            "values": None if self.values is None else list(self.values),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DatasetRecord":
-        return cls(
-            id=str(data.get("id", "")),
-            source=str(data.get("source", "")),
-            classes=list(data.get("classes", [])),
-            scores=dict(data.get("scores", {})),
-            caption_base=str(data.get("caption_base", "")),
-            caption_rephrased=data.get("caption_rephrased"),
-            config_digest=str(data.get("config_digest", "")),
-            values=data.get("values"),
-        )
+        return {name: encode(getattr(self, name)) if encode else getattr(self, name)
+                for name, (_, _, encode) in _JSON_FIELDS.items()}
 
     def caption(self) -> str:
         """The effective caption: ``caption_rephrased`` when set, else ``caption_base``."""
         return self.caption_rephrased or self.caption_base
+
+
+#: Each record field's name, in JSON key order, to ``(test, what the value
+#: must be, encoder)``.
+_JSON_FIELDS = {f.name: f.metadata["json"] for f in fields(DatasetRecord)}
 
 
 @dataclass(frozen=True)
@@ -408,8 +415,9 @@ def write_atomic(path, write):
     """Call ``write(handle)`` on a UTF-8 text handle for ``path`` and return
     its result.  A regular file is written atomically: a temporary file
     beside it replaces it only once ``write`` returns, so a failure leaves
-    any earlier file untouched.  An ``OSError`` names ``path``, never the
-    temporary file.
+    any earlier file untouched.  An ``OSError`` on the temporary file names
+    ``path``; one that names another file, such as a sidecar that ``write``
+    writes, keeps its name.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         # a device or pipe (/dev/stdout, a FIFO) cannot be replaced
@@ -425,29 +433,19 @@ def write_atomic(path, write):
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-        if isinstance(exc, OSError):
+        if isinstance(exc, OSError) and exc.filename in (None, tmp):
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
     return result
-
-
-#: Record fields whose type :func:`read_jsonl` checks when present:
-#: name -> (test, what the field must be).
-_FIELD_TYPES = {
-    "classes": (lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
-                "a list of strings"),
-    "scores": (lambda v: isinstance(v, dict), "an object"),
-    "caption_base": (lambda v: isinstance(v, str), "a string"),
-    "caption_rephrased": (lambda v: v is None or isinstance(v, str), "a string or null"),
-}
 
 
 def iter_jsonl(path):
     """Yield the records of a JSONL dataset file one line at a time.
 
     Malformed lines (including a truncated final line, the non-finite
-    tokens ``NaN``, ``Infinity`` and ``-Infinity``, and a field of the wrong
-    type) raise :class:`ParseError` carrying the 1-based line number.
+    tokens ``NaN``, ``Infinity`` and ``-Infinity``, and a record field of
+    the wrong JSON type) raise :class:`ParseError` carrying the 1-based line
+    number.  Keys that name no record field are ignored.
     """
     with opened(path) as handle:
         for line_num, line in enumerate(handle, start=1):
@@ -464,12 +462,13 @@ def iter_jsonl(path):
                 raise ParseError(
                     f"{path}: expected a JSON object at line {line_num}",
                     line=line_num)
-            for name, (valid, expected) in _FIELD_TYPES.items():
+            for name, (valid, expected, _) in _JSON_FIELDS.items():
                 if name in data and not valid(data[name]):
                     raise ParseError(
                         f"{path}: {name!r} must be {expected} at line {line_num}",
                         line=line_num)
-            yield DatasetRecord.from_json_dict(data)
+            yield DatasetRecord(**{name: data[name] for name in _JSON_FIELDS
+                                   if name in data})
 
 
 def read_jsonl(path) -> list[DatasetRecord]:

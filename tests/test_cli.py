@@ -248,6 +248,44 @@ def test_dataset_skip_log(tmp_path):
     assert len(skips) == 1 and "InvalidSignal" in skips[0]["reason"]
 
 
+def test_dataset_unwritable_skip_log_leaves_no_out_file(csv_with_bad_window, tmp_path,
+                                                         capsys):
+    out = tmp_path / "d.jsonl"
+    skip_log = tmp_path / "missing" / "skips.jsonl"
+    assert main(["dataset", "--input", csv_with_bad_window, "--out", str(out),
+                 "--skip-log", str(skip_log)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(skip_log) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mixed.csv"]
+
+
+def test_dataset_clean_rerun_empties_sidecar(csv_with_bad_window, tmp_path, capsys):
+    out = tmp_path / "d.jsonl"
+    sidecar = tmp_path / "d.jsonl.skipped.jsonl"
+    assert main(["dataset", "--input", csv_with_bad_window, "--no-values",
+                 "--out", str(out)]) == EXIT_OK
+    assert len(sidecar.read_text().splitlines()) == 1
+    clean = tmp_path / "clean.csv"
+    clean.write_text("v\n" + "".join(f"{i}\n" for i in range(900)))
+    assert main(["dataset", "--input", str(clean), "--no-values",
+                 "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 3
+    assert sidecar.read_bytes() == b""
+    assert capsys.readouterr().err.count("\n") == 1  # the first run's skip count only
+
+
+def test_dataset_stdout_with_skip_log(csv_with_bad_window, tmp_path, capsys):
+    skip_log = tmp_path / "skips.jsonl"
+    assert main(["dataset", "--input", csv_with_bad_window, "--no-values",
+                 "--skip-log", str(skip_log)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert [json.loads(line)["id"] for line in captured.out.splitlines()] == [
+        "mixed.csv#v#0", "mixed.csv#v#2"]
+    assert captured.err == f"1 window(s) skipped, reasons in {skip_log}\n"
+    assert [json.loads(line)["source"] for line in skip_log.read_text().splitlines()] == [
+        "mixed.csv#v#1"]
+
+
 @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
 def test_dataset_skip_log_naming_out_is_usage_error(link, csv_with_bad_window, tmp_path,
                                                     capsys):
@@ -439,6 +477,23 @@ def _jsonl_with(command, field, value):
     return build
 
 
+def _eval_with_id(bad_id):
+    """eval of candidates ``bad.jsonl`` whose id is ``bad_id`` against
+    references whose id is ``str(bad_id)``, which a str() coercion would align."""
+    def build(tmp_path):
+        for name, rid in (("bad", bad_id), ("refs", str(bad_id))):
+            write_jsonl([{"id": rid, "caption_base": "x y z"}], tmp_path / f"{name}.jsonl")
+        return ["eval", "--candidates", str(tmp_path / "bad.jsonl"),
+                "--references", str(tmp_path / "refs.jsonl")]
+    return build
+
+
+def _bad_record(**fields) -> bytes:
+    """A record line that is well formed but for ``fields``."""
+    row = {"id": "a", "caption_base": "x", "values": [0.5] * 16} | fields
+    return json.dumps(row).encode() + b"\n"
+
+
 _DEEP = b"[" * 100000 + b"]" * 100000
 _LONG_INT = b"1" * 5000  # past Python's int-digit limit, so int() raises ValueError
 
@@ -460,6 +515,7 @@ def _reading_bad(command, body: bytes):
             "--config": ["dataset", "--input", str(ramp), "--config", str(bad)],
             "eval": ["eval", "--candidates", str(good), "--references", str(bad)],
             "nearnbr": ["nearnbr", "--index", str(bad), "--queries", str(good)],
+            "nearnbr-queries": ["nearnbr", "--index", str(good), "--queries", str(bad)],
             "caption": ["caption", "--input", str(bad)],
         }[command]
     return build
@@ -510,6 +566,13 @@ def _rising_cutoff(cutoff):
     _reading_bad("--params", b'{"k_segments": ' + _LONG_INT + b"}"),
     _reading_bad("--config", b'{"Rising": ' + _LONG_INT + b"}"),
     _reading_bad("dataset", b"v\n" + b"1" * 131073 + b"\n"),
+    _eval_with_id(1),
+    _eval_with_id(None),
+    _reading_bad("nearnbr", _bad_record(id=["a"])),
+    _reading_bad("nearnbr-queries", _bad_record(id={"q": 1})),
+    _reading_bad("eval", _bad_record(source=5)),
+    _reading_bad("eval", _bad_record(config_digest=7)),
+    _reading_bad("eval", _bad_record(values="abc")),
 ], ids=["params-k-segments-string", "params-spike-sigma-null", "config-cutoff-string",
         "config-cutoff-null", "params-spike-sigma-past-float", "config-cutoff-past-float",
         "nearnbr-null-value", "nearnbr-index-string-value", "nearnbr-index-past-float",
@@ -523,7 +586,9 @@ def _rising_cutoff(cutoff):
         "nearnbr-not-utf8", "caption-not-utf8", "params-not-utf8", "config-not-utf8",
         "eval-deep-nesting", "nearnbr-deep-nesting", "params-deep-nesting",
         "config-deep-nesting", "params-long-int", "config-long-int",
-        "dataset-csv-field-too-long"])
+        "dataset-csv-field-too-long", "eval-id-number", "eval-id-null",
+        "nearnbr-index-id-list", "nearnbr-query-id-object", "eval-source-number",
+        "eval-config-digest-number", "eval-values-string"])
 def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(build(tmp_path) + ["--out", str(out)]) == EXIT_DATA

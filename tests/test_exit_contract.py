@@ -148,10 +148,12 @@ _VALUES = st.lists(_NUMBER, min_size=16, max_size=16) | st.tuples(
 #: Each record field: a well-formed value (nine times in ten), or a value
 #: of any type.
 _FIELDS = {
+    "source": st.sampled_from(["", "synth", "in.csv#a#0"]),
     "classes": _CLASS_LIST,
     "scores": st.dictionaries(st.sampled_from(["trend", "noise_mse"]), _NUMBER, max_size=2),
     "caption_base": st.sampled_from(["", "The signal has a rising trend.", "x y z"]),
     "caption_rephrased": st.none() | _WORD,
+    "config_digest": st.sampled_from(["", "90b4d6e2edd4f1b4"]),
     "values": _VALUES,
 }
 
@@ -198,13 +200,13 @@ _FILES = st.fixed_dictionaries({
 
 #: File names argv may hold; each becomes a path in the run's directory.
 _NAMES = ("in.csv", "params.json", "config.json", "a.jsonl", "b.jsonl", "missing.csv",
-          ".", "out.jsonl", "skips.jsonl")
-_ANY_PATH = st.sampled_from(_NAMES[:-1])
+          ".", "out.jsonl", "skips.jsonl", "missing/skips.jsonl")
+_ANY_PATH = st.sampled_from(_NAMES[:-2])
 
 
 def _path(usual: str):
     """``usual`` about half the time, else any file name."""
-    return st.sampled_from([usual] * 6 + list(_NAMES[:-1]))
+    return st.sampled_from([usual] * 6 + list(_NAMES[:-2]))
 
 
 _LEN = _MOSTLY.flatmap(lambda valid: st.sampled_from(["16", "20", "32"] if valid else
@@ -221,7 +223,8 @@ _STRIDE = st.sampled_from(["1", "7", "16", "0"])
 _COMMANDS = {
     "dataset": (_INGEST | _SETTINGS, {
         "--column": _COLUMN, "--stride": _STRIDE, "--jobs": st.just("1"),
-        "--no-values": _SWITCH, "--skip-log": st.sampled_from(["skips.jsonl", "out.jsonl"])}),
+        "--no-values": _SWITCH,
+        "--skip-log": st.sampled_from(["skips.jsonl", "out.jsonl", "missing/skips.jsonl"])}),
     "nearnbr": ({"--index": _path("a.jsonl"), "--queries": _path("b.jsonl")}, {}),
     "annotate": (_INGEST | _SETTINGS, {"--column": _COLUMN, "--stride": _STRIDE}),
     "eval": ({"--candidates": _path("a.jsonl"), "--references": _path("b.jsonl")}, {}),

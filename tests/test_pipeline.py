@@ -261,6 +261,17 @@ def test_jsonl_roundtrip(tmp_path):
     assert [r.to_json_dict() for r in loaded] == [r.to_json_dict() for r in records]
 
 
+def test_jsonl_missing_fields_take_defaults(tmp_path):
+    path = tmp_path / "ids.jsonl"
+    path.write_text('{"id": "a"}\n{"id": "b", "neighbor_id": "a"}\n')
+    first, second = read_jsonl(path)
+    assert first.to_json_dict() == {
+        "id": "a", "source": "", "classes": [], "scores": {}, "caption_base": "",
+        "caption_rephrased": None, "config_digest": "", "values": None}
+    assert second == DatasetRecord(id="b")
+    assert first.classes is not second.classes and first.scores is not second.scores
+
+
 def test_jsonl_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     assert write_jsonl([], path) == 0
