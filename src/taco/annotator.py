@@ -14,12 +14,12 @@ import contextlib
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .detectors import SCORE_NAMES, DetectorParams, ScoreVector, score_all
 from .errors import InvalidConfig, ParseError
-from .signal import Series, minmax_normalize
+from .signal import NormalizedSeries, Series, minmax_normalize
 
 
 class TimeSeriesClass(enum.Enum):
@@ -195,10 +195,10 @@ STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 @contextlib.contextmanager
 def opened(path, error=ParseError, newline=None):
-    """Open input file ``path`` as UTF-8 text; an ``OSError`` or
-    ``UnicodeDecodeError`` in the ``with`` body becomes ``error``."""
+    """Open input file ``path`` as UTF-8 text, less a leading byte order mark; an
+    ``OSError`` or ``UnicodeDecodeError`` in the ``with`` body becomes ``error``."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as handle:
+        with open(path, encoding="utf-8-sig", newline=newline) as handle:
             yield handle
     except UnicodeDecodeError as exc:  # its offsets count within a chunk, not the file
         raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
@@ -284,10 +284,12 @@ def config_digest(params: DetectorParams, cfg: ThresholdConfig) -> str:
 
 @dataclass(frozen=True)
 class Annotation:
-    """Classes assigned to one series, with the scores that produced them."""
+    """Classes assigned to one series, with the scores that produced them
+    and the min-max normalised series those scores were taken on."""
 
     classes: frozenset
     scores: ScoreVector
+    normalized: NormalizedSeries = field(compare=False, repr=False)
 
     def class_names(self) -> list[str]:
         return class_names(self.classes)
@@ -305,4 +307,4 @@ def annotate(s: Series, p: DetectorParams | None = None,
     normalized = minmax_normalize(s)
     scores = score_all(normalized, p)
     classes = assign_classes(scores, cfg)
-    return Annotation(classes=frozenset(classes), scores=scores)
+    return Annotation(classes=frozenset(classes), scores=scores, normalized=normalized)

@@ -30,6 +30,7 @@ from .pipeline import (
     iter_jsonl,
     write_atomic,
     write_jsonl,
+    written_in_place,
 )
 from .signal import MIN_SERIES_LEN
 from .synth import OVERLAY_NAMES, SHAPE_NAMES
@@ -237,7 +238,8 @@ def _cmd_dataset(args) -> int:
     if (args.skip_log and args.out
             and os.path.realpath(args.skip_log) == os.path.realpath(args.out)):
         raise _UsageError("--skip-log must not name the --out file")
-    skip_path = args.skip_log or (f"{args.out}.skipped.jsonl" if args.out else None)
+    sidecar = args.out and not written_in_place(args.out)  # a device or pipe gets none
+    skip_path = args.skip_log or (f"{args.out}.skipped.jsonl" if sidecar else None)
     params = _load_params(args.params)
     cfg = load_config(args.config)
     skips: list = []

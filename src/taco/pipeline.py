@@ -21,6 +21,7 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .annotator import (
 )
 from .captioner import base_caption
 from .errors import InvalidArgument, ParseError, TacoError
-from .signal import MIN_SERIES_LEN, Series, minmax_normalize, resample_linear
+from .signal import MIN_SERIES_LEN, minmax_normalize, resample_linear
 from .synth import generate, sample_spec
 
 
@@ -214,38 +215,33 @@ def ingest_csv(spec: IngestSpec):
 
 
 def _record(tag: str, source: str, classes: list, scores: dict, caption: str,
-            digest: str, values, include_values: bool) -> DatasetRecord:
-    """The one record constructor; values are min-max scaled only when kept."""
-    kept = minmax_normalize(values).values.tolist() if include_values else None
+            digest: str, kept) -> DatasetRecord:
+    """The one record constructor; ``kept`` is the normalised series to keep, or None."""
+    values = None if kept is None else kept.values.tolist()
     return DatasetRecord(id=tag, source=source, classes=classes, scores=scores,
-                         caption_base=caption, config_digest=digest, values=kept)
+                         caption_base=caption, config_digest=digest, values=values)
 
 
-def _window_outcome(context, window):
+def _window_outcome(window, *, params, cfg, target_len, include_values, digest, encode):
     """Resample, annotate and caption one window.
 
-    Returns ``("ok", record)``, the record encoded when the context carries
-    an encoder, or ``("skip", {"source", "reason"})``.
+    Returns ``("ok", record)``, the record encoded when ``encode`` is given,
+    or ``("skip", {"source", "reason"})``.
     """
-    params, cfg, target_len, include_values, digest, encode = context
     tag, values = window
     try:
-        resampled = resample_linear(values, target_len)
-        annotation = annotate(Series(values=resampled), params, cfg)
-        record = _record(tag, tag, annotation.class_names(),
-                         annotation.scores.as_dict(),
-                         base_caption(annotation.classes), digest,
-                         resampled, include_values)
+        annotation = annotate(resample_linear(values, target_len), params, cfg)
     except TacoError as exc:
         return ("skip", {"source": tag, "reason": f"{type(exc).__name__}: {exc}"})
+    record = _record(tag, tag, annotation.class_names(), annotation.scores.as_dict(),
+                     base_caption(annotation.classes), digest,
+                     annotation.normalized if include_values else None)
     return ("ok", encode(record) if encode else record)
 
 
-def _synth_record(context, i):
-    """Generate record ``i`` of a forward dataset, encoded when the context
-    carries an encoder."""
-    (master_seed, annotate_also, params, cfg, include_values, length, constraints,
-     digest, encode) = context
+def _synth_record(i, *, master_seed, annotate_also, params, cfg, include_values, length,
+                  constraints, digest, encode):
+    """Generate record ``i`` of a forward dataset, encoded when ``encode`` is given."""
     child_seed = np.random.SeedSequence(entropy=(master_seed, i))
     spec = sample_spec(child_seed, constraints=constraints, length=length)
     synth_record = generate(spec)
@@ -253,12 +249,14 @@ def _synth_record(context, i):
     caption = synth_record.caption
     scores: dict = {}
     if annotate_also:
-        annotation = annotate(Series(values=synth_record.values), params, cfg)
+        annotation = annotate(synth_record.values, params, cfg)
         caption = f"{caption} {base_caption(annotation.classes)}"
         classes += [c for c in annotation.class_names() if c not in classes]
         scores = annotation.scores.as_dict()
-    record = _record(f"synth-{i:06d}", "synth", classes, scores, caption,
-                     digest, synth_record.values, include_values)
+        kept = annotation.normalized if include_values else None
+    else:
+        kept = minmax_normalize(synth_record.values) if include_values else None
+    record = _record(f"synth-{i:06d}", "synth", classes, scores, caption, digest, kept)
     return encode(record) if encode else record
 
 
@@ -269,12 +267,12 @@ CHUNK_TASKS = 8
 CHUNKS_PER_JOB = 2
 
 
-def _run_chunk(worker, context, items) -> list:
-    return [worker(context, item) for item in items]
+def _run_chunk(worker, items) -> list:
+    return [worker(item) for item in items]
 
 
-def _ordered(worker, context, items, jobs: int):
-    """Yield ``worker(context, item)`` for each item, in item order.
+def _ordered(worker, items, jobs: int):
+    """Yield ``worker(item)`` for each item, in item order.
 
     With ``jobs`` > 1 and more than one chunk of items, chunks run on a
     process pool that is kept ``jobs * CHUNKS_PER_JOB`` chunks ahead of the
@@ -287,14 +285,14 @@ def _ordered(worker, context, items, jobs: int):
         chunks = iter(lambda: list(islice(tasks, CHUNK_TASKS)), [])
         head = list(islice(chunks, 2))
         if len(head) == 2:
-            yield from _pooled(worker, context, chain(head, chunks), jobs)
+            yield from _pooled(worker, chain(head, chunks), jobs)
             return
         items = chain.from_iterable(head)
     for item in items:
-        yield worker(context, item)
+        yield worker(item)
 
 
-def _pooled(worker, context, chunks, jobs: int):
+def _pooled(worker, chunks, jobs: int):
     # imported here, so that starting the CLI loads neither multiprocessing
     # nor the signal module
     import signal
@@ -307,7 +305,7 @@ def _pooled(worker, context, chunks, jobs: int):
                                initargs=(signal.SIGINT, signal.SIG_IGN))
     try:
         for chunk in chunks:
-            pending.append(pool.submit(_run_chunk, worker, context, chunk))
+            pending.append(pool.submit(_run_chunk, worker, chunk))
             if len(pending) == jobs * CHUNKS_PER_JOB:
                 yield from pending.popleft().result()
         while pending:
@@ -326,9 +324,10 @@ def iter_dataset(spec: IngestSpec, skips: list, params: DetectorParams | None = 
     """
     params = params or DetectorParams()
     cfg = cfg or default_config()
-    context = (params, cfg, spec.target_len, include_values,
-               config_digest(params, cfg), encode)
-    for kind, item in _ordered(_window_outcome, context, ingest_csv(spec), jobs):
+    worker = partial(_window_outcome, params=params, cfg=cfg, target_len=spec.target_len,
+                     include_values=include_values, digest=config_digest(params, cfg),
+                     encode=encode)
+    for kind, item in _ordered(worker, ingest_csv(spec), jobs):
         if kind == "ok":
             yield item
         else:
@@ -367,9 +366,11 @@ def iter_forward(n: int, master_seed: int, annotate_also: bool = False,
         raise InvalidArgument(f"n must be >= 1, got {n}")
     params = params or DetectorParams()
     cfg = cfg or default_config()
-    context = (int(master_seed), annotate_also, params, cfg, include_values, length,
-               constraints, config_digest(params, cfg), encode)
-    return _ordered(_synth_record, context, range(n), jobs=1)
+    worker = partial(_synth_record, master_seed=int(master_seed),
+                     annotate_also=annotate_also, params=params, cfg=cfg,
+                     include_values=include_values, length=length, constraints=constraints,
+                     digest=config_digest(params, cfg), encode=encode)
+    return _ordered(worker, range(n), jobs=1)
 
 
 def build_forward_dataset(n: int, master_seed: int, annotate_also: bool = False,
@@ -419,8 +420,7 @@ def write_atomic(path, write):
     ``path``; one that names another file, such as a sidecar that ``write``
     writes, keeps its name.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        # a device or pipe (/dev/stdout, a FIFO) cannot be replaced
+    if written_in_place(path):
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             return write(handle)
     target = os.path.realpath(path)  # replace a symlink's target, not the link
@@ -437,6 +437,11 @@ def write_atomic(path, write):
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
     return result
+
+
+def written_in_place(path) -> bool:
+    """Whether ``path`` is a device or pipe, which :func:`write_atomic` writes in place."""
+    return os.path.exists(path) and not os.path.isfile(path)
 
 
 def iter_jsonl(path):

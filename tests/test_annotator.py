@@ -22,7 +22,7 @@ from taco.annotator import (
 )
 from taco.detectors import DEGENERATE_SCORES, DetectorParams, ScoreVector
 from taco.errors import InvalidConfig, TooShort
-from taco.signal import Series
+from taco.signal import Series, minmax_normalize
 
 CFG = default_config()
 PARAMS = DetectorParams()
@@ -213,6 +213,12 @@ def test_annotate_deterministic():
     a1 = annotate(Series(values=v), PARAMS, CFG)
     a2 = annotate(Series(values=v), PARAMS, CFG)
     assert a1 == a2
+
+
+def test_annotation_keeps_the_series_it_scored():
+    v = np.random.default_rng(63).normal(size=512)
+    annotation = annotate(v, PARAMS, CFG)
+    assert annotation.normalized.values.tobytes() == minmax_normalize(v).values.tobytes()
 
 
 def test_annotate_affine_invariance_of_classes():

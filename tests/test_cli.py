@@ -683,6 +683,58 @@ def test_blank_cell_skips_only_its_window(blank_row, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", [[], ["--column", "a"]], ids=["all-columns", "column-a"])
+def test_csv_byte_order_mark_is_ignored(column, tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    values = np.linspace(0.0, 1.0, 300).tolist()
+    path.write_text("\ufeffa\n" + "".join(f"{v!r}\n" for v in values), encoding="utf-8")
+    assert main(["dataset", "--input", str(path), "--no-values", *column]) == EXIT_OK
+    assert [json.loads(line)["id"] for line in capsys.readouterr().out.splitlines()] == [
+        "bom.csv#a#0"]
+
+
+def test_jsonl_and_params_byte_order_mark_is_ignored(ramp_csv, tmp_path, capsys):
+    rows = tmp_path / "r.jsonl"
+    rows.write_text('\ufeff{"id": "a", "caption_base": "the signal rises"}\n',
+                    encoding="utf-8")
+    assert main(["eval", "--candidates", str(rows), "--references", str(rows)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["sample_count"] == 1
+    params = tmp_path / "params.json"
+    params.write_text('\ufeff{"k_segments": 10}', encoding="utf-8")
+    assert main(["dataset", "--input", ramp_csv, "--no-values",
+                 "--params", str(params)]) == EXIT_OK
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_dataset_out_fifo_gets_no_default_sidecar(csv_with_bad_window, tmp_path):
+    # a pipe is written in place, so no sidecar is derived from its name and
+    # each skip is one stderr line, as for stdout; an explicit --skip-log applies
+    fifo = tmp_path / "p"
+    os.mkfifo(fifo)
+
+    def run(*extra):
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # never blocks, unlike open()
+        try:
+            proc = subprocess.run([sys.executable, "-m", "taco.cli", "dataset", "--input",
+                                   csv_with_bad_window, "--no-values", "--out", str(fifo),
+                                   *extra], capture_output=True, env=_taco_env(), timeout=60)
+            out = os.read(reader, 1 << 16)  # two short lines fit the pipe's buffer
+        finally:
+            os.close(reader)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert [json.loads(line)["id"] for line in out.splitlines()] == [
+            "mixed.csv#v#0", "mixed.csv#v#2"]
+        return proc.stderr.decode()
+
+    assert run() == ("skipped mixed.csv#v#1: InvalidSignal: "
+                     "signal contains NaN or infinite samples\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mixed.csv", "p"]
+    skip_log = tmp_path / "skips.jsonl"
+    assert run("--skip-log", str(skip_log)) == f"1 window(s) skipped, reasons in {skip_log}\n"
+    assert [json.loads(line)["source"] for line in skip_log.read_text().splitlines()] == [
+        "mixed.csv#v#1"]
+
+
 def _taco_env() -> dict:
     """The environment for a taco subprocess: this source tree on the path,
     and stdout block-buffered, as in a shell."""

@@ -8,6 +8,8 @@ import signal
 import numpy as np
 import pytest
 
+import taco.annotator
+import taco.pipeline
 from taco.captioner import BASE_CAPTIONS, NO_SALIENT_CAPTION, classes_from_caption
 from taco.annotator import TimeSeriesClass, config_digest, default_config
 from taco.detectors import DetectorParams
@@ -328,11 +330,31 @@ def test_jsonl_infinite_scores_serialized_as_null(tmp_path):
     assert data["scores"]["trend"] == 0.0
 
 
-def _sigint_disposition(context, item):
+def test_each_annotated_record_is_normalised_once(tmp_path, monkeypatch):
+    # annotate normalises the signal it scores, and the record keeps that series
+    calls = []
+    for module in (taco.annotator, taco.pipeline):
+        def counted(s, original=module.minmax_normalize):
+            calls.append(s)
+            return original(s)
+        monkeypatch.setattr(module, "minmax_normalize", counted)
+    path = tmp_path / "x.csv"
+    write_csv(path, {"a": list(np.sin(np.arange(900.0) / 7.0))})
+    records, _ = build_dataset(IngestSpec(inputs=(path,), window_len=300, target_len=512))
+    assert len(calls) == len(records) == 3
+    calls.clear()
+    records, _ = build_forward_dataset(4, master_seed=7, annotate_also=True, length=256)
+    assert len(calls) == len(records) == 4
+    calls.clear()
+    records, _ = build_forward_dataset(4, master_seed=7, length=256)
+    assert len(calls) == len(records) == 4
+
+
+def _sigint_disposition(item):
     return signal.getsignal(signal.SIGINT)
 
 
 def test_pool_workers_ignore_ctrl_c():
     # a terminal sends Ctrl-C to idle pool workers too; only the parent acts on it
-    dispositions = _ordered(_sigint_disposition, None, range(3 * CHUNK_TASKS), jobs=2)
+    dispositions = _ordered(_sigint_disposition, range(3 * CHUNK_TASKS), jobs=2)
     assert set(dispositions) == {signal.SIG_IGN}
