@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -93,23 +93,11 @@ class DetectorParams:
 
     def kernel_lengths(self, n: int) -> list[int]:
         """Even step-kernel lengths derived from the configured fractions."""
-        lengths = set()
-        for frac in self.step_kernel_fracs:
-            length = int(frac * n)
-            length -= length % 2
-            length = max(2, min(length, n - n % 2))
-            lengths.add(length)
-        return sorted(lengths)
+        return sorted({max(2, min(int(frac * n) // 2 * 2, n - n % 2))
+                       for frac in self.step_kernel_fracs})
 
     def to_json_dict(self) -> dict:
-        return {
-            "k_segments": self.k_segments,
-            "ma_window_frac": self.ma_window_frac,
-            "median_window_frac": self.median_window_frac,
-            "spike_sigma": self.spike_sigma,
-            "symmetry_pad_step_frac": self.symmetry_pad_step_frac,
-            "step_kernel_fracs": list(self.step_kernel_fracs),
-        }
+        return {**asdict(self), "step_kernel_fracs": list(self.step_kernel_fracs)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DetectorParams":
@@ -205,7 +193,9 @@ def score_trend(s) -> float:
     if np.ptp(v) == 0.0:
         raise Degenerate("score undefined on a constant signal")
     t = np.linspace(0.0, 1.0, v.size)
-    return float(np.clip(np.corrcoef(t, v)[0, 1], -1.0, 1.0))
+    dt, dv = t - t.mean(), v - v.mean()
+    r = float(np.dot(dt, dv)) / math.sqrt(float(np.dot(dt, dt)) * float(np.dot(dv, dv)))
+    return min(1.0, max(-1.0, r))
 
 
 def score_constancy(s, p: DetectorParams) -> float:
@@ -344,20 +334,23 @@ def score_symmetry(s, p: DetectorParams) -> float:
     Edge-replication padding (front or back, widths 0..n/2 in steps of
     ``symmetry_pad_step_frac * n``) shifts the effective mirror axis, so a
     bump off to one side can still register as symmetric at some pad width.
+
+    All widths at once: ``k`` front copies of ``v[0]`` make the summed squared
+    mirror difference ``2 (v.v + k v[0]**2 - c[n-1-k] - 2 v[0] S)``, with ``c``
+    the self-convolution and ``S`` the last ``k`` values' sum; back mirrors it.
     """
     v = signal_values(s)
     n = v.size
-    step = p.pad_step(n)
-
-    def mirror_mse(padded: np.ndarray) -> float:
-        return float(np.mean((padded - padded[::-1]) ** 2))
-
-    best = mirror_mse(v)
-    for width in range(step, n // 2 + 1, step):
-        front = np.concatenate([np.full(width, v[0]), v])
-        back = np.concatenate([v, np.full(width, v[-1])])
-        best = min(best, mirror_mse(front), mirror_mse(back))
-    return best
+    k = np.arange(0, n // 2 + 1, p.pad_step(n))
+    spectrum = np.fft.rfft(v, 2 * n)
+    conv = np.fft.irfft(spectrum * spectrum, 2 * n)
+    energy = float(np.dot(v, v))
+    head = np.concatenate(([0.0], np.cumsum(v)))
+    tail = np.concatenate(([0.0], np.cumsum(v[::-1])))
+    front = k * v[0] ** 2 - conv[n - 1 - k] - 2.0 * v[0] * tail[k]
+    back = k * v[-1] ** 2 - conv[n - 1 + k] - 2.0 * v[-1] * head[k]
+    sums = 2.0 * (energy + np.minimum(front, back))
+    return float(np.min(np.maximum(sums, 0.0) / (n + k)))
 
 
 def score_step(s, p: DetectorParams) -> float:
@@ -374,9 +367,9 @@ def score_step(s, p: DetectorParams) -> float:
     best = 0.0
     for length in p.kernel_lengths(n):
         half = length // 2
-        starts = np.arange(0, n - length + 1)
-        first = (csum[starts + half] - csum[starts]) / half
-        second = (csum[starts + length] - csum[starts + half]) / half
+        m = n - length + 1  # kernel positions
+        first = (csum[half:half + m] - csum[:m]) / half
+        second = (csum[length:length + m] - csum[half:half + m]) / half
         best = max(best, float(np.max(np.abs(second - first))))
     return best
 

@@ -8,7 +8,9 @@ per-point means so that one threshold works across series lengths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +19,10 @@ from .errors import Degenerate, InvalidArgument, InvalidSignal, TooShort
 #: Minimum length accepted at detector entry points: every score procedure
 #: needs at least 2 samples per segment at the smallest usable segmentation.
 MIN_SERIES_LEN = 16
+
+#: Largest scratch block, in bytes, that :func:`median_filter` copies windows
+#: into at once; small enough to stay in cache and never page-fault.
+MEDIAN_BLOCK_BYTES = 64 * 1024
 
 
 def signal_values(s) -> np.ndarray:
@@ -87,13 +93,20 @@ def minmax_normalize(s) -> NormalizedSeries:
     v = signal_values(s)
     if v.size == 0:
         raise InvalidSignal("cannot normalize an empty signal")
-    if not np.all(np.isfinite(v)):
-        raise InvalidSignal("signal contains NaN or infinite samples")
-    lo = v.min()
-    hi = v.max()
+    lo, hi = _finite_range(v)
     if hi == lo:
         return NormalizedSeries(np.zeros_like(v))
     return NormalizedSeries((v - lo) / (hi - lo))
+
+
+def _finite_range(v: np.ndarray) -> tuple[float, float]:
+    """``(min, max)`` of a non-empty signal whose span ``max - min`` is finite."""
+    if not np.all(np.isfinite(v)):
+        raise InvalidSignal("signal contains NaN or infinite samples")
+    lo, hi = float(v.min()), float(v.max())
+    if math.isinf(hi - lo):
+        raise InvalidSignal(f"signal range [{lo!r}, {hi!r}] overflows float64")
+    return lo, hi
 
 
 def resample_linear(s, target_len: int) -> np.ndarray:
@@ -104,11 +117,13 @@ def resample_linear(s, target_len: int) -> np.ndarray:
         raise InvalidArgument(f"target_len must be >= 2, got {target_len}")
     if v.size < 2:
         raise InvalidArgument("need at least 2 samples to resample")
+    lo, hi = _finite_range(v)
     if v.size == target_len:
         return v.copy()
-    src = np.linspace(0.0, 1.0, v.size)
-    dst = np.linspace(0.0, 1.0, target_len)
-    return np.interp(dst, src, v)
+    out = np.interp(np.linspace(0.0, 1.0, target_len), np.linspace(0.0, 1.0, v.size), v)
+    if not np.all(np.isfinite(out)):  # a slope past the float64 range
+        raise InvalidSignal(f"signal range [{lo!r}, {hi!r}] overflows float64 when resampled")
+    return out
 
 
 def segment(s, k: int) -> np.ndarray:
@@ -130,11 +145,26 @@ def segment(s, k: int) -> np.ndarray:
     return v[:k * m].reshape(k, m)
 
 
+@lru_cache(maxsize=8)
+def _fit_design(n: int, degree: int) -> tuple:
+    """``(t, lhs, scale, rcond)`` exactly as ``np.polyfit(t, v, degree)`` builds
+    them on every call: the grid, the column-scaled Vandermonde matrix, its
+    column norms and the rank cutoff.  Shared by every caller, so read-only."""
+    t = np.linspace(0.0, 1.0, n)
+    lhs = np.vander(t, degree + 1)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    for a in (t, lhs, scale):
+        a.flags.writeable = False
+    return t, lhs, scale, n * np.finfo(float).eps
+
+
 def polyfit(s: NormalizedSeries, degree: int) -> tuple[np.ndarray, float]:
     """Least-squares polynomial fit against the uniform grid on [0, 1].
 
     Returns ``(coefficients, mse)`` with coefficients in numpy order
     (highest power first) and ``mse`` the per-point mean squared residual.
+    Bit for bit ``np.polyfit``, whose per-call design setup is cached.
     """
     if degree not in (1, 2):
         raise InvalidArgument(f"degree must be 1 or 2, got {degree}")
@@ -143,8 +173,8 @@ def polyfit(s: NormalizedSeries, degree: int) -> tuple[np.ndarray, float]:
         raise TooShort(f"need more than {degree} samples for a degree-{degree} fit")
     if np.ptp(v) == 0.0:
         raise Degenerate("polynomial fit undefined on a constant signal")
-    t = np.linspace(0.0, 1.0, v.size)
-    coeffs = np.polyfit(t, v, degree)
+    t, lhs, scale, rcond = _fit_design(v.size, degree)
+    coeffs = np.linalg.lstsq(lhs, v, rcond)[0] / scale
     resid = np.polyval(coeffs, t) - v
     return coeffs, float(np.mean(resid * resid))
 
@@ -153,7 +183,10 @@ def median_filter(s, window: int) -> np.ndarray:
     """Sliding-window median with edge-replication padding.
 
     Output has the same length as the input.  The window must be odd so the
-    filter is centered.
+    filter is centered.  Windows are copied into one small reused buffer a
+    block of rows at a time, never all ``n * window`` at once, and sorted in
+    place (numpy's SIMD row sort beats ``partition``); each output is an
+    element of its window, so the result is exact.
     """
     v = signal_values(s)
     if window < 1 or window % 2 == 0:
@@ -164,7 +197,15 @@ def median_filter(s, window: int) -> np.ndarray:
     half = window // 2
     padded = np.pad(v, half, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, window)
-    return np.partition(windows, half, axis=1)[:, half]
+    rows = max(1, min(v.size, MEDIAN_BLOCK_BYTES // (8 * window)))
+    buffer = np.empty((rows, window))
+    out = np.empty(v.size)
+    for start in range(0, v.size, rows):
+        block = buffer[:min(rows, v.size - start)]
+        block[...] = windows[start:start + len(block)]
+        block.sort(axis=1)
+        out[start:start + len(block)] = block[:, half]
+    return out
 
 
 def moving_average(s, window: int) -> np.ndarray:

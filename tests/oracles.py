@@ -103,6 +103,23 @@ def quadratic_fit_mse_oracle(v):
     return float(np.mean(resid * resid))
 
 
+def symmetry_oracle(values, step):
+    """Minimum mirror MSE over front and back edge padding of widths
+    0, step, 2 step, ... up to n/2, each padded signal built and scored."""
+    v = np.asarray(values, dtype=float)
+    n = v.size
+
+    def mirror_mse(padded):
+        return float(np.mean((padded - padded[::-1]) ** 2))
+
+    best = mirror_mse(v)
+    for width in range(step, n // 2 + 1, step):
+        front = np.concatenate([np.full(width, v[0]), v])
+        back = np.concatenate([v, np.full(width, v[-1])])
+        best = min(best, mirror_mse(front), mirror_mse(back))
+    return best
+
+
 def step_response_oracle(values, lengths):
     """Direct half-mean difference sweep over kernel lengths and positions."""
     values = np.asarray(values, dtype=float)

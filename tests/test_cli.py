@@ -248,6 +248,22 @@ def test_dataset_skip_log(tmp_path):
     assert len(skips) == 1 and "InvalidSignal" in skips[0]["reason"]
 
 
+@pytest.mark.parametrize("target_len", [[], ["--target-len", "300"]],
+                         ids=["resampled", "kept-length"])
+def test_dataset_window_past_float_range_names_it(target_len, tmp_path, capsys):
+    # every sample is finite, but max - min overflows float64
+    path = tmp_path / "huge.csv"
+    path.write_text("v\n" + "".join(f"{x!r}\n" for x in [1e308, -1e308] * 150))
+    out = tmp_path / "d.jsonl"
+    assert main(["dataset", "--input", str(path), "--window", "300", *target_len,
+                 "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == b""
+    assert [json.loads(line)["reason"] for line in
+            out.with_name("d.jsonl.skipped.jsonl").read_text().splitlines()] == [
+        "InvalidSignal: signal range [-1e+308, 1e+308] overflows float64"]
+    assert capsys.readouterr().err == f"1 window(s) skipped, reasons in {out}.skipped.jsonl\n"
+
+
 def test_dataset_unwritable_skip_log_leaves_no_out_file(csv_with_bad_window, tmp_path,
                                                          capsys):
     out = tmp_path / "d.jsonl"

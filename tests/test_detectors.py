@@ -33,6 +33,7 @@ from oracles import (
     mean_pairwise_w1_oracle,
     pearson_oracle,
     step_response_oracle,
+    symmetry_oracle,
 )
 
 PARAMS = DetectorParams()
@@ -307,6 +308,23 @@ def test_symmetry_off_center_bump_recovered_by_padding():
 
 def test_symmetry_ramp_cannot_be_repaired():
     assert score_symmetry(ramp(), PARAMS) > 0.05
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 301, 2048])
+def test_symmetry_matches_oracle(n):
+    # step 1 (frac 1/n) scores every pad width; flat edges make the padding
+    # value repeat a run of the signal
+    rng = np.random.default_rng(n)
+    t = grid(n)
+    signals = [rng.uniform(size=n), np.cumsum(rng.normal(size=n)),
+               np.clip(3.0 * t - 1.0, 0.0, 1.0), np.clip(4.0 * t - 0.5, 0.0, 1.0) ** 2,
+               np.exp(-0.5 * ((t - 0.3) / 0.05) ** 2)]
+    for frac in (1.0, 1.0 / n, PARAMS.symmetry_pad_step_frac):
+        p = DetectorParams(symmetry_pad_step_frac=frac)
+        for v in signals:
+            s = norm(v)
+            expected = symmetry_oracle(s.values, p.pad_step(n))
+            assert abs(score_symmetry(s, p) - expected) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Core signal operations against independent oracles and invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from taco.detectors import DetectorParams, _find_cycle_lag
 from taco.errors import Degenerate, InvalidArgument, InvalidSignal, TooShort
 from taco.signal import (
+    MEDIAN_BLOCK_BYTES,
     MIN_SERIES_LEN,
     NormalizedSeries,
     Series,
@@ -16,6 +19,7 @@ from taco.signal import (
     polyfit,
     resample_linear,
     segment,
+    _fit_design,
 )
 
 
@@ -68,6 +72,18 @@ def test_normalize_rejects_non_finite():
         minmax_normalize([1.0, np.nan, 2.0])
     with pytest.raises(InvalidSignal):
         minmax_normalize([1.0, np.inf, 2.0])
+
+
+def test_range_past_float64_is_named():
+    # finite samples; pytest turns any numpy RuntimeWarning into an error
+    wide = np.array([1e308, -1e308] * 8)
+    for call in (lambda: minmax_normalize(wide), lambda: resample_linear(wide, 64)):
+        with pytest.raises(InvalidSignal, match=r"range \[-1e\+308, 1e\+308\] overflows"):
+            call()
+    steep = np.zeros(300)
+    steep[1] = 1e306  # the range fits, the slope 1e306 * 299 does not
+    with pytest.raises(InvalidSignal, match=r"\[0.0, 1e\+306\] overflows float64 when resampled"):
+        resample_linear(steep, 2048)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +175,28 @@ def test_polyfit_parabola_matches_normal_equations():
     assert mse2 == pytest.approx(quadratic_fit_mse_oracle(s.values), abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [16, 17, 300, 2048, 2049])
+def test_polyfit_is_numpy_polyfit_bit_for_bit(n):
+    t = np.linspace(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    signals = [rng.uniform(size=n) for _ in range(20)] + [t, t[::-1], (t - 0.3) ** 2]
+    for v in signals:
+        for degree in (1, 2):
+            coeffs, mse = polyfit(v, degree)
+            expected = np.polyfit(t, v, degree)
+            resid = np.polyval(expected, t) - v
+            assert np.array_equal(coeffs, expected)
+            assert np.array_equal(np.sign(coeffs), np.sign(expected))
+            assert mse == float(np.mean(resid * resid))
+
+
+def test_polyfit_design_cache_is_read_only():
+    polyfit(np.linspace(0.0, 1.0, 64) ** 2, 2)
+    for cached in _fit_design(64, 2)[:3]:
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+
+
 def test_polyfit_nesting():
     rng = np.random.default_rng(6)
     for _ in range(100):
@@ -202,6 +240,42 @@ def test_median_filter_matches_oracle_at_detector_window(n):
     rng = np.random.default_rng(n)
     for v in (rng.uniform(size=n), np.round(rng.uniform(size=n) * 3)):
         assert median_filter(v, w).tolist() == median_filter_oracle(v, w)
+
+
+def _uniform_and_tied(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(size=n), np.round(rng.uniform(size=n) * 3)
+
+
+@pytest.mark.parametrize("window", [1, 3, 103])
+def test_median_filter_matches_oracle_across_block_edges(window):
+    # the filter works through blocks of ``rows`` windows; the first block
+    # edge is below the window itself at window 103
+    rows = MEDIAN_BLOCK_BYTES // (8 * window)
+    edges = [n for n in (rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1)
+             if n >= window]
+    for n in edges + [5000]:
+        for v in _uniform_and_tied(n, n + window):
+            assert median_filter(v, window).tolist() == median_filter_oracle(v, window)
+
+
+@pytest.mark.parametrize("n", [3, 17, 103, 641])
+def test_median_filter_window_spanning_signal_matches_oracle(n):
+    for v in _uniform_and_tied(n, n):
+        assert median_filter(v, n).tolist() == median_filter_oracle(v, n)
+
+
+def test_median_filter_memory_is_bounded():
+    # the whole (2048, 103) window matrix would be about 1.7 MB
+    v = np.random.default_rng(12).uniform(size=2048)
+    median_filter(v, 103)
+    tracemalloc.start()
+    try:
+        median_filter(v, 103)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_median_filter_rejects_even_window():
