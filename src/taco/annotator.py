@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .detectors import SCORE_NAMES, DetectorParams, ScoreVector, score_all
+from .detectors import SCORE_NAMES, DetectorParams, ScoreVector, _is_real, score_all
 from .errors import InvalidConfig, ParseError
 from .signal import NormalizedSeries, Series, minmax_normalize
 
@@ -240,10 +240,13 @@ def load_config(path: str | Path | None = None) -> ThresholdConfig:
         if missing:
             raise InvalidConfig(f"rule for {name} missing key {missing[0]!r}")
         try:
-            cutoff = float(body["cutoff"])
-        except (TypeError, ValueError, OverflowError) as exc:
+            # a JSON number only: float() alone would also take true and "0.9"
+            cutoff = float(body["cutoff"]) if _is_real(body["cutoff"]) else None
+        except OverflowError:  # an integer past the float range
+            cutoff = None
+        if cutoff is None:
             raise InvalidConfig(
-                f"rule for {name} has a non-numeric cutoff {body['cutoff']!r}") from exc
+                f"rule for {name} has a non-numeric cutoff {body['cutoff']!r}")
         rules[cls] = ClassRule(score=body["score"], direction=body["direction"], cutoff=cutoff)
     return ThresholdConfig(rules=rules)
 

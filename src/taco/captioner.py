@@ -12,7 +12,7 @@ import json
 import os
 
 from .annotator import TimeSeriesClass, sorted_classes
-from .errors import EmptyCompletion, ProtocolError, ServiceError, Unavailable
+from .errors import EmptyCompletion, ProtocolError, Unavailable
 
 #: One template sentence per class.  Rising and Smooth are the reference
 #: wordings; the rest follow the same surface pattern.
@@ -95,7 +95,7 @@ def _extract_completion(body: dict) -> str:
     raise ProtocolError("completion entry has neither message.content nor text")
 
 
-def _resolve_endpoint(endpoint: str | None) -> str:
+def resolve_endpoint(endpoint: str | None) -> str:
     """The given endpoint, else ``$TACO_LLM_ENDPOINT``; :class:`Unavailable`
     when neither is set."""
     endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
@@ -117,7 +117,7 @@ def rephrase(text: str, endpoint: str | None = None, model: str | None = None) -
     import http.client
     import urllib.request
 
-    endpoint = _resolve_endpoint(endpoint)
+    endpoint = resolve_endpoint(endpoint)
     model = model or os.environ.get(MODEL_ENV, "")
     payload = {
         "model": model,
@@ -144,25 +144,3 @@ def rephrase(text: str, endpoint: str | None = None, model: str | None = None) -
         raise EmptyCompletion("endpoint returned an empty completion")
     return completion
 
-
-def rephrase_many(texts, endpoint: str | None = None, model: str | None = None,
-                  max_in_flight: int = DEFAULT_IN_FLIGHT) -> list[str | None]:
-    """Rephrase a batch of captions with a bounded number of in-flight calls.
-
-    Results are matched to inputs by position, never by arrival order.  A
-    failed call yields None in its slot so the caller can fall back to the
-    base caption for that record only.  With no endpoint configured it
-    raises :class:`Unavailable` once, before any request.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # loaded only to rephrase
-
-    endpoint = _resolve_endpoint(endpoint)
-
-    def attempt(text):
-        try:
-            return rephrase(text, endpoint, model)
-        except ServiceError:
-            return None
-
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(attempt, texts))

@@ -15,16 +15,16 @@ import contextlib
 import os
 import sys
 from dataclasses import replace
-from itertools import chain, islice
 
 from . import __version__
 from .annotator import DetectorParams, TimeSeriesClass, load_config, load_json
-from .captioner import DEFAULT_IN_FLIGHT, base_caption, rephrase, rephrase_many
+from .captioner import DEFAULT_IN_FLIGHT, base_caption, rephrase, resolve_endpoint
 from .errors import InvalidArgument, ServiceError, TacoError, Unavailable
 from .evalkit import evaluate_corpus, iter_nearnbr, load_index, report_to_json
 from .pipeline import (
     IngestSpec,
     encode_record,
+    in_order,
     iter_dataset,
     iter_forward,
     iter_jsonl,
@@ -126,32 +126,36 @@ def _add_rephrase_flags(parser) -> None:
 
 
 def _rephrased(items, caption_of, args, in_flight: int):
-    """Yield ``(item, rephrased caption)`` for each item, None where the call
-    failed, rephrasing ``4 * in_flight`` base captions at a time.
+    """Yield ``(item, rephrased caption)`` for each item, in item order, None
+    where the call failed; at most ``in_flight`` calls run at once, on one
+    thread pool, and ``4 * in_flight`` are queued ahead of the consumer.
 
-    One stderr line reports failures for the whole run: with no endpoint
-    configured every caption is None and no request is made, else the line,
-    printed after the last item, counts the failed calls.
+    One stderr line, printed after the last item, reports failures for the
+    whole run: with no endpoint configured every caption is None and no
+    request is made, else the line counts the failed calls.
     """
-    items = iter(items)
-    chunk_len = 4 * in_flight
-    failed = total = 0
-    while True:
-        chunk = list(islice(items, chunk_len))
+    try:
+        endpoint = resolve_endpoint(args.endpoint)
+    except Unavailable as exc:
+        yield from ((item, None) for item in items)
+        print(f"--rephrase requested but {exc}; emitting base captions only",
+              file=sys.stderr)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # loaded only to rephrase
+
+    def attempt(item):
         try:
-            rephrased = rephrase_many([caption_of(item) for item in chunk],
-                                      endpoint=args.endpoint, model=args.model,
-                                      max_in_flight=in_flight)
-        except Unavailable as exc:
-            print(f"--rephrase requested but {exc}; emitting base captions only",
-                  file=sys.stderr)
-            yield from ((item, None) for item in chain(chunk, items))
-            return
-        failed += rephrased.count(None)
-        total += len(chunk)
-        yield from zip(chunk, rephrased)
-        if len(chunk) < chunk_len:
-            break
+            return item, rephrase(caption_of(item), endpoint, args.model)
+        except ServiceError:
+            return item, None
+
+    failed = total = 0
+    results = in_order(ThreadPoolExecutor(in_flight), attempt, items, 4 * in_flight)
+    with contextlib.closing(results):
+        for item, new in results:
+            failed += new is None
+            total += 1
+            yield item, new
     if failed:
         print(f"rephrase failed for {failed} of {total} captions; "
               f"caption_rephrased is null for them", file=sys.stderr)

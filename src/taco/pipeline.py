@@ -271,47 +271,56 @@ def _run_chunk(worker, items) -> list:
     return [worker(item) for item in items]
 
 
+def in_order(pool, fn, items, ahead: int):
+    """Yield ``fn(item)`` for each item, in item order, from calls submitted
+    to the executor ``pool``, at most ``ahead`` of them submitted and not yet
+    yielded (``Executor.map`` would submit every item at once).
+
+    However the generator ends, exhausted, raised or closed early, it shuts
+    ``pool`` down and cancels the calls not yet started.
+    """
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _ordered(worker, items, jobs: int):
     """Yield ``worker(item)`` for each item, in item order.
 
     With ``jobs`` > 1 and more than one chunk of items, chunks run on a
-    process pool that is kept ``jobs * CHUNKS_PER_JOB`` chunks ahead of the
-    consumer (``Executor.map`` would submit every chunk at once); otherwise
-    the worker runs inline.  Closing the generator early cancels the chunks
-    not yet started.
+    process pool through :func:`in_order`, ``jobs * CHUNKS_PER_JOB`` chunks
+    ahead of the consumer; otherwise the worker runs inline.
     """
     if jobs > 1:
         tasks = iter(items)
         chunks = iter(lambda: list(islice(tasks, CHUNK_TASKS)), [])
         head = list(islice(chunks, 2))
         if len(head) == 2:
-            yield from _pooled(worker, chain(head, chunks), jobs)
+            # imported here, so that starting the CLI loads neither
+            # multiprocessing nor the signal module
+            import signal
+            from concurrent.futures import ProcessPoolExecutor
+
+            # Workers ignore Ctrl-C, which a terminal sends to the whole
+            # process group: the parent alone handles it and shuts the pool down.
+            pool = ProcessPoolExecutor(max_workers=jobs, initializer=signal.signal,
+                                       initargs=(signal.SIGINT, signal.SIG_IGN))
+            results = in_order(pool, partial(_run_chunk, worker), chain(head, chunks),
+                               jobs * CHUNKS_PER_JOB)
+            with contextlib.closing(results):
+                # chain drops each chunk before waiting for the next
+                yield from chain.from_iterable(results)
             return
         items = chain.from_iterable(head)
     for item in items:
         yield worker(item)
-
-
-def _pooled(worker, chunks, jobs: int):
-    # imported here, so that starting the CLI loads neither multiprocessing
-    # nor the signal module
-    import signal
-    from concurrent.futures import ProcessPoolExecutor
-
-    pending = deque()
-    # Workers ignore Ctrl-C, which a terminal sends to the whole process
-    # group: the parent alone handles it and shuts the pool down below.
-    pool = ProcessPoolExecutor(max_workers=jobs, initializer=signal.signal,
-                               initargs=(signal.SIGINT, signal.SIG_IGN))
-    try:
-        for chunk in chunks:
-            pending.append(pool.submit(_run_chunk, worker, chunk))
-            if len(pending) == jobs * CHUNKS_PER_JOB:
-                yield from pending.popleft().result()
-        while pending:
-            yield from pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def iter_dataset(spec: IngestSpec, skips: list, params: DetectorParams | None = None,

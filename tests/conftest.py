@@ -3,7 +3,7 @@
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -12,9 +12,12 @@ class MockLLMHandler(BaseHTTPRequestHandler):
     """Configurable stand-in for a chat-completion endpoint.
 
     The serving mode lives on the server instance (``server.mode``):
-    echo, tag (deterministic per-request output), text-field, empty, missing,
-    status-500 (a JSON error body with HTTP 500), not-json (a 200 whose body
-    is not JSON) and slow (the echo reply after a 0.6 s pause).
+    echo, tag (``rephrased::`` and the caption, after a pause of 0, 20 or
+    40 ms that depends on the caption's length, or HTTP 500 for a caption in
+    ``server.failing``), text-field, empty, missing, status-500 (a JSON error
+    body with HTTP 500), not-json (a 200 whose body is not JSON) and slow (the
+    echo reply after a 0.6 s pause).  ``server.peak`` is the most requests
+    in progress at once, each counted until its reply is sent.
     """
 
     fixed_reply = "A steadily climbing, gentle signal."
@@ -23,6 +26,22 @@ class MockLLMHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         request = json.loads(self.rfile.read(length))
         content = request["messages"][0]["content"]
+        with self.server.lock:
+            self.server.active += 1
+            self.server.peak = max(self.server.peak, self.server.active)
+        try:
+            status, body = self._reply(content)
+        finally:
+            with self.server.lock:
+                self.server.active -= 1
+        payload = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def _reply(self, content):
         status = 200
         if self.server.mode == "slow":
             time.sleep(0.6)
@@ -30,8 +49,11 @@ class MockLLMHandler(BaseHTTPRequestHandler):
             body = {"choices": [{"message": {"content": self.fixed_reply}}]}
         elif self.server.mode == "tag":
             caption = content.split("\n", 1)[1]
-            time.sleep(0.05 if "alpha" in caption else 0.0)
-            body = {"choices": [{"message": {"content": f"rephrased::{caption}"}}]}
+            time.sleep(0.02 * (len(caption) % 3))
+            if caption in self.server.failing:
+                status, body = 500, {"error": "internal"}
+            else:
+                body = {"choices": [{"message": {"content": f"rephrased::{caption}"}}]}
         elif self.server.mode == "text-field":
             body = {"choices": [{"text": self.fixed_reply}]}
         elif self.server.mode == "empty":
@@ -42,12 +64,7 @@ class MockLLMHandler(BaseHTTPRequestHandler):
             body = "<html>not json</html>"
         else:  # missing completion field
             body = {"result": "nope"}
-        payload = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        return status, body
 
     def log_message(self, fmt, *args):
         pass
@@ -55,8 +72,12 @@ class MockLLMHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def mock_endpoint():
-    server = HTTPServer(("127.0.0.1", 0), MockLLMHandler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), MockLLMHandler)
+    server.daemon_threads = False  # server_close joins every request's thread
     server.mode = "echo"
+    server.failing = set()
+    server.lock = threading.Lock()
+    server.active = server.peak = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

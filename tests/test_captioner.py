@@ -17,7 +17,6 @@ from taco.captioner import (
     base_caption,
     classes_from_caption,
     rephrase,
-    rephrase_many,
 )
 from taco.errors import EmptyCompletion, ProtocolError, Unavailable
 
@@ -90,12 +89,6 @@ def test_rephrase_requires_endpoint(monkeypatch):
     monkeypatch.delenv("TACO_LLM_ENDPOINT", raising=False)
     with pytest.raises(Unavailable):
         rephrase("x")
-    # a batch fails once, before any request, instead of once per caption
-    calls = []
-    monkeypatch.setattr(taco.captioner, "rephrase", lambda *args: calls.append(args))
-    with pytest.raises(Unavailable):
-        rephrase_many(["x", "y"])
-    assert calls == []
 
 
 def test_rephrase_missing_completion(mock_endpoint):
@@ -118,21 +111,6 @@ def test_rephrase_sends_fixed_instruction(mock_endpoint):
     got = rephrase("caption body.", endpoint=url, model="m")
     assert got == "rephrased::caption body."
     assert REPHRASE_INSTRUCTION  # the instruction itself stays fixed
-
-
-def test_rephrase_many_matches_by_position(mock_endpoint):
-    server, url = mock_endpoint
-    server.mode = "tag"
-    texts = [f"caption alpha {i}." if i % 2 else f"caption beta {i}."
-             for i in range(8)]
-    results = rephrase_many(texts, endpoint=url, model="m", max_in_flight=4)
-    assert results == [f"rephrased::{t}" for t in texts]
-
-
-def test_rephrase_many_fallback_slots(monkeypatch):
-    monkeypatch.setattr(taco.captioner, "REPHRASE_TIMEOUT_S", 2.0)
-    results = rephrase_many(["a", "b"], endpoint="http://127.0.0.1:9/x", model="m")
-    assert results == [None, None]
 
 
 @pytest.mark.parametrize("mode, endpoint, error", [

@@ -1,5 +1,7 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
+import argparse
+import concurrent.futures
 import contextlib
 import csv
 import json
@@ -7,15 +9,25 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 import taco.captioner
+import taco.cli
 from taco.annotator import TimeSeriesClass, default_config
-from taco.captioner import classes_from_caption
-from taco.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, EXIT_SERVICE, EXIT_USAGE, main
+from taco.captioner import NO_SALIENT_CAPTION, classes_from_caption
+from taco.cli import (
+    EXIT_DATA,
+    EXIT_INTERRUPTED,
+    EXIT_OK,
+    EXIT_SERVICE,
+    EXIT_USAGE,
+    _rephrased,
+    main,
+)
 from taco.evalkit import QUERY_BLOCK
 from taco.pipeline import read_jsonl, write_jsonl
 
@@ -123,7 +135,7 @@ def test_rephrase_without_endpoint_warns_once(command, ramp_csv, tmp_path, capsy
                                               monkeypatch):
     monkeypatch.delenv("TACO_LLM_ENDPOINT", raising=False)
     calls = []
-    monkeypatch.setattr(taco.captioner, "rephrase", lambda *args: calls.append(args))
+    monkeypatch.setattr(taco.cli, "rephrase", lambda *args: calls.append(args))
     out = tmp_path / "out.jsonl"
     assert main(_rephrase_argv(command, ramp_csv, tmp_path) + ["--out", str(out)]) == EXIT_OK
     assert [r.caption_rephrased for r in read_jsonl(out)] == [None, None]
@@ -131,6 +143,81 @@ def test_rephrase_without_endpoint_warns_once(command, ramp_csv, tmp_path, capsy
     assert capsys.readouterr().err == (
         "--rephrase requested but no rephrase endpoint configured "
         "(TACO_LLM_ENDPOINT unset); emitting base captions only\n")
+
+
+def test_caption_rephrase_runs_on_one_pool_in_row_order(mock_endpoint, tmp_path, capsys,
+                                                        monkeypatch):
+    # replies take 0, 20 or 40 ms, so they arrive out of order; each still
+    # lands on its own row, and a failed call leaves only its own slot null
+    server, url = mock_endpoint
+    server.mode = "tag"
+    server.failing = {NO_SALIENT_CAPTION}
+    pools = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    names = [member.value for member in TimeSeriesClass]
+    path = tmp_path / "ann.jsonl"
+    write_jsonl([{"id": f"r{i}", "classes": names[i % 7:i % 7 + i % 3]} for i in range(40)],
+                path)
+    out = tmp_path / "cap.jsonl"
+    assert main(["caption", "--input", str(path), "--rephrase", "--jobs", "2",
+                 "--endpoint", url, "--out", str(out)]) == EXIT_OK
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [row["id"] for row in rows] == [f"r{i}" for i in range(40)]
+    failed = sum(row["caption_base"] == NO_SALIENT_CAPTION for row in rows)
+    assert failed == 14
+    for row in rows:
+        assert row["caption_rephrased"] == (None if row["caption_base"] == NO_SALIENT_CAPTION
+                                            else "rephrased::" + row["caption_base"])
+    assert capsys.readouterr().err == (
+        f"rephrase failed for {failed} of 40 captions; caption_rephrased is null for them\n")
+    assert len(pools) == 1
+    assert server.peak == 2  # calls overlap, but never more than --jobs
+
+
+def test_closing_rephrase_stream_stops_its_threads(monkeypatch):
+    # a closed stdout closes the stream mid-run: calls not yet started are
+    # cancelled, and the pool's threads are gone once close() returns
+    calls = []
+
+    def rephrase(text, endpoint, model):
+        calls.append(text)
+        time.sleep(0.01)
+        return "rephrased::" + text
+
+    monkeypatch.setattr(taco.cli, "rephrase", rephrase)
+    before = threading.active_count()
+    args = argparse.Namespace(endpoint="http://127.0.0.1:9/x", model=None)
+    stream = _rephrased(range(40), str, args, 2)
+    assert next(stream) == (0, "rephrased::0")
+    stream.close()
+    assert threading.active_count() == before
+    assert len(calls) <= 4 * 2  # at most four times --jobs queued ahead
+
+
+def test_dataset_rephrase_pool_and_threads_match_one_process(mock_endpoint, tmp_path):
+    # 12 windows, more than one chunk, so --jobs 2 starts the process pool;
+    # window b#3 is skipped
+    server, url = mock_endpoint
+    server.mode = "tag"
+    csv_path = _sine_csv(tmp_path / "sines.csv", 6, bad_rows=[1000])
+    runs = [subprocess.run([sys.executable, "-m", "taco.cli", "dataset", "--input", csv_path,
+                            "--rephrase", "--endpoint", url, "--jobs", jobs],
+                           capture_output=True, env=_taco_env(), timeout=120)
+            for jobs in ("1", "2")]
+    assert [(run.returncode, run.stdout, run.stderr) for run in runs] == (
+        [(runs[0].returncode, runs[0].stdout, runs[0].stderr)] * 2)
+    assert runs[0].returncode == EXIT_OK
+    records = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    assert len(records) == 11
+    for record in records:
+        assert record["caption_rephrased"] == "rephrased::" + record["caption_base"]
+    assert runs[0].stderr.decode().startswith("skipped sines.csv#b#3: ")
 
 
 def test_caption_batch_from_annotations(tmp_path, capsys):
@@ -550,6 +637,9 @@ def _rising_cutoff(cutoff):
     _dataset_with("--config", _rising_cutoff(None)),
     _dataset_with("--params", {"spike_sigma": 10**400}),
     _dataset_with("--config", _rising_cutoff(10**400)),
+    _dataset_with("--config", _rising_cutoff(True)),
+    _dataset_with("--config", _rising_cutoff("0.9")),
+    _dataset_with("--config", _rising_cutoff("1e-3 ")),
     _index_with_null,
     _nearnbr_with("index", "abc"),
     _nearnbr_with("index", 10**400),
@@ -591,6 +681,7 @@ def _rising_cutoff(cutoff):
     _reading_bad("eval", _bad_record(values="abc")),
 ], ids=["params-k-segments-string", "params-spike-sigma-null", "config-cutoff-string",
         "config-cutoff-null", "params-spike-sigma-past-float", "config-cutoff-past-float",
+        "config-cutoff-bool", "config-cutoff-numeric-string", "config-cutoff-padded-string",
         "nearnbr-null-value", "nearnbr-index-string-value", "nearnbr-index-past-float",
         "nearnbr-query-past-float",
         "nearnbr-query-null-value", "nearnbr-query-string-value",
@@ -764,7 +855,8 @@ def test_cli_import_loads_no_pool_logging_or_hash_modules():
     # process and thread pools and hashing load where they are used, so a
     # launch pays for none of them or what they import
     probe = ("import sys, taco.cli; print([m for m in ('concurrent.futures', "
-             "'multiprocessing', 'socket', 'logging', 'hashlib') if m in sys.modules])")
+             "'multiprocessing', 'signal', 'socket', 'logging', 'hashlib') "
+             "if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", probe], env=_taco_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"

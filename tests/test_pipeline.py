@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import signal
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from taco.pipeline import (
     IngestSpec,
     build_dataset,
     build_forward_dataset,
+    in_order,
     ingest_csv,
     _ordered,
     read_jsonl,
@@ -358,3 +361,37 @@ def test_pool_workers_ignore_ctrl_c():
     # a terminal sends Ctrl-C to idle pool workers too; only the parent acts on it
     dispositions = _ordered(_sigint_disposition, range(3 * CHUNK_TASKS), jobs=2)
     assert set(dispositions) == {signal.SIG_IGN}
+
+
+def test_in_order_yields_in_item_order_at_most_ahead():
+    pulled = []
+
+    def items():
+        for i in range(20):
+            pulled.append(i)
+            yield i
+
+    def slow_square(i):
+        time.sleep(0.01 * (2 - i % 3))  # later items often finish first
+        return i * i
+
+    got = []
+    for value in in_order(ThreadPoolExecutor(3), slow_square, items(), 4):
+        assert len(pulled) - len(got) <= 4
+        got.append(value)
+    assert got == [i * i for i in range(20)]
+
+
+def test_in_order_shuts_its_pool_down_when_fn_raises():
+    def fail_at_three(i):
+        if i == 3:
+            raise ValueError(i)
+        return i
+
+    pool = ThreadPoolExecutor(2)
+    results = in_order(pool, fail_at_three, range(10), 4)
+    assert next(results) == 0
+    with pytest.raises(ValueError):
+        list(results)
+    with pytest.raises(RuntimeError, match="after shutdown"):
+        pool.submit(int)
