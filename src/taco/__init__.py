@@ -3,6 +3,16 @@ reproducible caption-dataset pipeline."""
 
 __version__ = "0.1.0"
 
+import os
+
+# taco runs in parallel through its --jobs worker processes, so a BLAS thread
+# pool in each process only adds a thread that spins beside it.  OpenBLAS and
+# MKL read these variables when numpy loads, so this runs before any import
+# that loads numpy; a user who sets any of them keeps every one as set.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 from .annotator import (
     Annotation,
     ThresholdConfig,

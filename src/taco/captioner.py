@@ -58,6 +58,10 @@ DEFAULT_IN_FLIGHT = 4
 #: Seconds one rephrase call may take before it counts as unavailable.
 REPHRASE_TIMEOUT_S = 30.0
 
+#: Largest reply body a rephrase call accepts, in bytes; a completion of one
+#: caption is a few hundred.
+MAX_REPLY_BYTES = 1 << 20
+
 
 def base_caption(classes) -> str:
     """Concatenate the class templates in canonical order.
@@ -110,8 +114,9 @@ def rephrase(text: str, endpoint: str | None = None, model: str | None = None) -
     The request pins temperature 0 and seed 0 so endpoints that honor them
     produce repeatable output.  Raises :class:`Unavailable` on a missing or
     bad URL, a network error, a timeout or a non-2xx reply (callers fall back
-    to the base text), :class:`ProtocolError` on a malformed body and
-    :class:`EmptyCompletion` on an empty completion.
+    to the base text), :class:`ProtocolError` on a malformed, too deeply
+    nested or over-long body and :class:`EmptyCompletion` on an empty
+    completion.
     """
     # imported here so that commands which never rephrase never load HTTP
     import http.client
@@ -132,12 +137,14 @@ def rephrase(text: str, endpoint: str | None = None, model: str | None = None) -
             endpoint, data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json"}, method="POST")
         with urllib.request.urlopen(request, timeout=REPHRASE_TIMEOUT_S) as response:
-            raw = response.read()
+            raw = response.read(MAX_REPLY_BYTES + 1)
     except (OSError, http.client.HTTPException, ValueError) as exc:
         raise Unavailable(f"rephrase endpoint failed: {exc}") from exc
+    if len(raw) > MAX_REPLY_BYTES:
+        raise ProtocolError(f"response body exceeds {MAX_REPLY_BYTES} bytes")
     try:
         body = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"response is not JSON: {exc}") from exc
     completion = _extract_completion(body).strip()
     if not completion:

@@ -15,8 +15,9 @@ class MockLLMHandler(BaseHTTPRequestHandler):
     echo, tag (``rephrased::`` and the caption, after a pause of 0, 20 or
     40 ms that depends on the caption's length, or HTTP 500 for a caption in
     ``server.failing``), text-field, empty, missing, status-500 (a JSON error
-    body with HTTP 500), not-json (a 200 whose body is not JSON) and slow (the
-    echo reply after a 0.6 s pause).  ``server.peak`` is the most requests
+    body with HTTP 500), not-json (a 200 whose body is not JSON), deep (a 200
+    whose body is 100,000 ``[`` then 100,000 ``]``) and slow (the echo reply
+    after a 0.6 s pause).  ``server.peak`` is the most requests
     in progress at once, each counted until its reply is sent.
     """
 
@@ -62,6 +63,8 @@ class MockLLMHandler(BaseHTTPRequestHandler):
             status, body = 500, {"error": "internal"}
         elif self.server.mode == "not-json":
             body = "<html>not json</html>"
+        elif self.server.mode == "deep":
+            body = "[" * 100_000 + "]" * 100_000
         else:  # missing completion field
             body = {"result": "nope"}
         return status, body

@@ -118,13 +118,21 @@ def test_rephrase_sends_fixed_instruction(mock_endpoint):
     ("not-json", None, ProtocolError),
     ("slow", None, Unavailable),
     ("echo", "notaurl", Unavailable),
-], ids=["status-500", "not-json", "timeout", "malformed-url"])
+    ("deep", None, ProtocolError),
+], ids=["status-500", "not-json", "timeout", "malformed-url", "deep-nesting"])
 def test_rephrase_error_mapping(mode, endpoint, error, mock_endpoint, monkeypatch):
     server, url = mock_endpoint
     server.mode = mode
     monkeypatch.setattr(taco.captioner, "REPHRASE_TIMEOUT_S", 0.2)
     with pytest.raises(error):
         rephrase("x", endpoint=endpoint or url, model="m")
+
+
+def test_rephrase_rejects_over_long_reply(mock_endpoint, monkeypatch):
+    _, url = mock_endpoint
+    monkeypatch.setattr(taco.captioner, "MAX_REPLY_BYTES", 16)
+    with pytest.raises(ProtocolError, match="exceeds 16 bytes"):
+        rephrase("x", endpoint=url, model="m")
 
 
 def test_cli_import_loads_no_http_modules():

@@ -130,6 +130,29 @@ def test_rephrase_unreachable_endpoint_writes_null(command, ramp_csv, tmp_path, 
         "rephrase failed for 2 of 2 captions; caption_rephrased is null for them\n")
 
 
+def test_caption_rephrase_deeply_nested_reply_exits_three(mock_endpoint, capsys):
+    server, url = mock_endpoint
+    server.mode = "deep"
+    assert main(["caption", "--classes", "Rising", "--rephrase",
+                 "--endpoint", url]) == EXIT_SERVICE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["dataset", "caption"])
+def test_rephrase_deeply_nested_reply_writes_null(command, ramp_csv, mock_endpoint,
+                                                  tmp_path, capsys):
+    server, url = mock_endpoint
+    server.mode = "deep"
+    out = tmp_path / "out.jsonl"
+    argv = _rephrase_argv(command, ramp_csv, tmp_path) + ["--endpoint", url]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert [r.caption_rephrased for r in read_jsonl(out)] == [None, None]
+    assert capsys.readouterr().err == (
+        "rephrase failed for 2 of 2 captions; caption_rephrased is null for them\n")
+
+
 @pytest.mark.parametrize("command", ["dataset", "caption"])
 def test_rephrase_without_endpoint_warns_once(command, ramp_csv, tmp_path, capsys,
                                               monkeypatch):
@@ -860,6 +883,69 @@ def test_cli_import_loads_no_pool_logging_or_hash_modules():
     result = subprocess.run([sys.executable, "-c", probe], env=_taco_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_env(**blas) -> dict:
+    """``_taco_env()`` with the BLAS thread variables set only as ``blas`` sets them."""
+    env = {key: value for key, value in _taco_env().items() if key not in BLAS_THREAD_VARS}
+    return env | blas
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="needs /proc/self/task")
+def test_taco_runs_blas_on_one_thread_unless_the_caller_sets_it():
+    # taco's parallelism is its worker processes; a BLAS thread pool in each
+    # process only adds a thread that spins beside it
+    probe = ("import os, taco.cli; print(len(os.listdir('/proc/self/task')), "
+             f"*map(os.environ.get, {BLAS_THREAD_VARS!r}))")
+
+    def run(env):
+        return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True, timeout=60).stdout.split()
+
+    assert run(_blas_env()) == ["1", "1", "1", "1"]
+    assert run(_blas_env(OPENBLAS_NUM_THREADS="2"))[1:] == ["2", "None", "None"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="needs /proc/self/task")
+def test_pool_workers_run_blas_on_one_thread():
+    # each worker makes a BLAS call large enough to be split across threads,
+    # then counts its own threads
+    probe = ("import os, taco.pipeline, numpy as np\n"
+             "def threads(item):\n"
+             "    np.ones((64, 2048)) @ np.ones((2048, 300))\n"
+             "    return len(os.listdir('/proc/self/task'))\n"
+             "print(*sorted(set(taco.pipeline._ordered(threads, range(32), 2))))\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=_blas_env(),
+                            capture_output=True, text=True, check=True, timeout=120)
+    assert result.stdout.split() == ["1"]
+
+
+def test_outputs_identical_across_blas_thread_counts(tmp_path):
+    # the one-thread default rests on this: no output byte depends on the
+    # BLAS thread count, here set by the caller so taco's default does not apply
+    csv_path = _sine_csv(tmp_path / "sines.csv", 8, bad_rows=[1000])
+    commands = [
+        ["dataset", "--input", csv_path, "--jobs", "1", "--out", "d1.jsonl"],
+        ["dataset", "--input", csv_path, "--jobs", "2", "--out", "d2.jsonl"],
+        ["synth", "--count", "60", "--seed", "41", "--annotate-also", "--out", "s.jsonl"],
+        ["nearnbr", "--index", "s.jsonl", "--queries", "d1.jsonl", "--out", "n.jsonl"],
+        ["eval", "--candidates", "n.jsonl", "--references", "d1.jsonl", "--out", "e.json"],
+    ]
+    outputs = {}
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads{threads}"
+        run.mkdir()
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "taco.cli", *argv], cwd=run,
+                           env=_blas_env(OPENBLAS_NUM_THREADS=threads),
+                           capture_output=True, check=True, timeout=120)
+        outputs[threads] = {path.name: path.read_bytes() for path in run.iterdir()}
+    assert sorted(outputs["1"]) == ["d1.jsonl", "d1.jsonl.skipped.jsonl", "d2.jsonl",
+                                    "d2.jsonl.skipped.jsonl", "e.json", "n.jsonl", "s.jsonl"]
+    assert outputs["1"] == outputs["2"]
 
 
 @pytest.mark.parametrize("argv, lines_read", [

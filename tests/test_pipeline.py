@@ -1,8 +1,10 @@
 """CSV ingestion, dataset builds, JSONL round trips and determinism."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
+import multiprocessing
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -361,6 +363,24 @@ def test_pool_workers_ignore_ctrl_c():
     # a terminal sends Ctrl-C to idle pool workers too; only the parent acts on it
     dispositions = _ordered(_sigint_disposition, range(3 * CHUNK_TASKS), jobs=2)
     assert set(dispositions) == {signal.SIG_IGN}
+
+
+def test_pool_forks_where_the_platform_can(monkeypatch):
+    # Python 3.14 makes forkserver the default start method, and --jobs 2
+    # ran slower than --jobs 1 under it
+    contexts = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+            contexts.append(mp_context)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    assert list(_ordered(abs, range(-20, 0), jobs=2)) == list(range(20, 0, -1))
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert [context.get_start_method() for context in contexts] == ["fork"]
+    else:
+        assert contexts == [None]
 
 
 def test_in_order_yields_in_item_order_at_most_ahead():
