@@ -4,6 +4,10 @@ Subcommands: annotate, caption, synth, dataset, nearnbr, eval.  This module
 only parses flags and wires library calls together; no numeric logic lives
 here.
 
+Each ``_cmd_*`` checks its flags and loads its settings, index or report at
+once, then returns a generator of output lines.  :func:`main` alone writes
+them, to stdout or to ``--out``, so no check waits on ``--out`` being opened.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 external-service error,
 130 interrupted (Ctrl-C).
 """
@@ -28,7 +32,6 @@ from .pipeline import (
     iter_dataset,
     iter_forward,
     iter_jsonl,
-    write_atomic,
     write_jsonl,
     written_in_place,
 )
@@ -78,22 +81,27 @@ def _load_params(path: str | None) -> DetectorParams:
     return DetectorParams.from_json_dict(load_json(path, InvalidArgument))
 
 
-def _report_skips(skips, skip_path: str | None) -> None:
-    """Report skips on stderr: a count when the sidecar ``skip_path`` holds
-    them, else one line each."""
+def _lines(*lines):
+    """A generator of ``lines``, for output known before it is written."""
+    yield from lines
+
+
+def _window_lines(lines, skips: list, skip_path: str | None):
+    """Yield ``lines``, then report the ``skips`` they left.
+
+    With a sidecar ``skip_path`` the skips are written there, after the last
+    line and so before ``--out`` is put in place, and stderr gets a count;
+    else stderr gets one line each.
+    """
+    yield from lines
     if skip_path:
+        write_jsonl(skips, skip_path)
         if skips:
             print(f"{len(skips)} window(s) skipped, reasons in {skip_path}",
                   file=sys.stderr)
     else:
         for entry in skips:
             print(f"skipped {entry['source']}: {entry['reason']}", file=sys.stderr)
-
-
-def _then(items, action):
-    """Yield ``items``, then call ``action()``."""
-    yield from items
-    action()
 
 
 def _add_ingest_flags(parser) -> None:
@@ -182,17 +190,16 @@ def _annotate_line(record) -> str:
                          | {"params_digest": data["config_digest"]})
 
 
-def _cmd_annotate(args) -> int:
+def _cmd_annotate(args):
     params = _load_params(args.params)
     cfg = load_config(args.config)
     skips: list = []
-    write_jsonl(iter_dataset(_ingest_spec(args), skips, params, cfg,
-                             include_values=False, encode=_annotate_line), args.out)
-    _report_skips(skips, None)
-    return EXIT_OK
+    lines = iter_dataset(_ingest_spec(args), skips, params, cfg,
+                         include_values=False, encode=_annotate_line)
+    return _window_lines(lines, skips, None)
 
 
-def _cmd_caption(args) -> int:
+def _cmd_caption(args):
     if bool(args.classes) == bool(args.input):
         raise _UsageError("caption needs exactly one of --classes or --input")
     if args.classes:
@@ -201,21 +208,18 @@ def _cmd_caption(args) -> int:
         text = base_caption(classes)
         if args.rephrase:
             text = rephrase(text, endpoint=args.endpoint, model=args.model)
-        print(text)
-        return EXIT_OK
-    rows = []
-    for record in iter_jsonl(args.input):
-        classes = {TimeSeriesClass.from_name(n) for n in record.classes
-                   if n not in _FORWARD_ONLY_NAMES}
-        rows.append({"id": record.id, "caption_base": base_caption(classes)})
+        return _lines(text)
+    rows = ({"id": record.id,
+             "caption_base": base_caption({TimeSeriesClass.from_name(n) for n in record.classes
+                                           if n not in _FORWARD_ONLY_NAMES})}
+            for record in iter_jsonl(args.input))
     if args.rephrase:
-        rows = [row | {"caption_rephrased": new} for row, new in
-                _rephrased(rows, lambda row: row["caption_base"], args, args.jobs)]
-    write_jsonl(rows, args.out)
-    return EXIT_OK
+        rows = (row | {"caption_rephrased": new} for row, new in
+                _rephrased(rows, lambda row: row["caption_base"], args, args.jobs))
+    return rows
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args):
     if args.annotate_also and args.length < MIN_SERIES_LEN:
         raise _UsageError(f"--annotate-also needs --length of at least {MIN_SERIES_LEN}, "
                           f"got {args.length}")
@@ -223,7 +227,7 @@ def _cmd_synth(args) -> int:
     cfg = load_config(args.config)
     constraints = ([s.strip() for s in args.shapes.split(",") if s.strip()]
                    if args.shapes else None)
-    lines = iter_forward(
+    return iter_forward(
         n=args.count,
         master_seed=args.seed,
         annotate_also=args.annotate_also,
@@ -234,11 +238,9 @@ def _cmd_synth(args) -> int:
         constraints=constraints,
         encode=encode_record,
     )
-    write_jsonl(lines, args.out)
-    return EXIT_OK
 
 
-def _cmd_dataset(args) -> int:
+def _cmd_dataset(args):
     if (args.skip_log and args.out
             and os.path.realpath(args.skip_log) == os.path.realpath(args.out)):
         raise _UsageError("--skip-log must not name the --out file")
@@ -251,39 +253,25 @@ def _cmd_dataset(args) -> int:
     # once the caption is rephrased.  The pool starts on the first window,
     # before any rephrase thread, so no worker is forked from a threaded
     # process.
-    stream = iter_dataset(_ingest_spec(args), skips, params, cfg, jobs=args.jobs,
-                          include_values=not args.no_values,
-                          encode=None if args.rephrase else encode_record)
-    records = stream
+    lines = iter_dataset(_ingest_spec(args), skips, params, cfg, jobs=args.jobs,
+                         include_values=not args.no_values,
+                         encode=None if args.rephrase else encode_record)
     if args.rephrase:
-        records = (replace(record, caption_rephrased=new) for record, new in
-                   _rephrased(stream, lambda record: record.caption_base, args,
-                              DEFAULT_IN_FLIGHT))
-    if skip_path:  # after the last line, so the sidecar is in place before --out
-        records = _then(records, lambda: write_jsonl(skips, skip_path))
-    with contextlib.closing(stream):  # a closed stdout shuts the pool down here
-        write_jsonl(records, args.out)
-    _report_skips(skips, skip_path)
-    return EXIT_OK
+        lines = (replace(record, caption_rephrased=new) for record, new in
+                 _rephrased(lines, lambda record: record.caption_base, args,
+                            DEFAULT_IN_FLIGHT))
+    return _window_lines(lines, skips, skip_path)
 
 
-def _cmd_nearnbr(args) -> int:
-    rows = [{"id": query_id, "caption_base": caption, "neighbor_id": neighbor_id,
+def _cmd_nearnbr(args):
+    index = load_index(args.index)
+    return ({"id": query_id, "caption_base": caption, "neighbor_id": neighbor_id,
              "mse": mse}
-            for query_id, caption, neighbor_id, mse
-            in iter_nearnbr(load_index(args.index), args.queries)]
-    write_jsonl(rows, args.out)
-    return EXIT_OK
+            for query_id, caption, neighbor_id, mse in iter_nearnbr(index, args.queries))
 
 
-def _cmd_eval(args) -> int:
-    report = evaluate_corpus(args.candidates, args.references)
-    text = report_to_json(report)
-    if args.out:
-        write_atomic(args.out, lambda handle: handle.write(text + "\n"))
-    else:
-        print(text)
-    return EXIT_OK
+def _cmd_eval(args):
+    return _lines(report_to_json(evaluate_corpus(args.candidates, args.references)))
 
 
 def build_parser() -> _Parser:
@@ -361,17 +349,20 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        code = args.func(args)
+        # closing the lines ends what they run, a --jobs pool or rephrase
+        # threads, however the write ends
+        with contextlib.closing(args.func(args)) as lines:
+            write_jsonl(lines, args.out)
         sys.stdout.flush()
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # The reader closed stdout early, which is not an error.  Point fd 1
         # at devnull so the interpreter's final flush of stdout stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except KeyboardInterrupt:
-        # write_atomic has removed its temporary file and the dataset
-        # stream has shut its pool down on the way out
+        # write_jsonl has removed its temporary file and closing the lines
+        # has shut any pool down on the way out
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except _UsageError as exc:

@@ -418,32 +418,26 @@ def _write_lines(records, handle) -> int:
 def write_jsonl(records, path=None) -> int:
     """Write records (DatasetRecord or plain dicts, or lines that
     :func:`encode_record` made) as one JSON object per line, UTF-8, to
-    ``path`` through :func:`write_atomic`, or to stdout when it is None or
-    empty.  Lines are written as ``records`` yields them.  Returns the
-    number of lines written.
+    ``path``, or to stdout when it is None or empty.  Lines are written as
+    ``records`` yields them.  Returns the number of lines written.
+
+    A regular file is written atomically: a temporary file beside it
+    replaces it only once ``records`` is exhausted, so a failure leaves any
+    earlier file untouched.  An ``OSError`` on the temporary file names
+    ``path``; one that names another file, such as a sidecar that
+    ``records`` writes, keeps its name.  A device or pipe is written in place.
     """
     if not path:
         return _write_lines(records, sys.stdout)
-    return write_atomic(path, lambda handle: _write_lines(records, handle))
-
-
-def write_atomic(path, write):
-    """Call ``write(handle)`` on a UTF-8 text handle for ``path`` and return
-    its result.  A regular file is written atomically: a temporary file
-    beside it replaces it only once ``write`` returns, so a failure leaves
-    any earlier file untouched.  An ``OSError`` on the temporary file names
-    ``path``; one that names another file, such as a sidecar that ``write``
-    writes, keeps its name.
-    """
     if written_in_place(path):
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            return write(handle)
+            return _write_lines(records, handle)
     target = os.path.realpath(path)  # replace a symlink's target, not the link
     head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
-            result = write(handle)
+            count = _write_lines(records, handle)
         os.replace(tmp, target)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -451,11 +445,11 @@ def write_atomic(path, write):
         if isinstance(exc, OSError) and exc.filename in (None, tmp):
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
-    return result
+    return count
 
 
 def written_in_place(path) -> bool:
-    """Whether ``path`` is a device or pipe, which :func:`write_atomic` writes in place."""
+    """Whether ``path`` is a device or pipe, which :func:`write_jsonl` writes in place."""
     return os.path.exists(path) and not os.path.isfile(path)
 
 

@@ -74,11 +74,15 @@ def test_missing_input_file_exits_two():
     assert main(["annotate", "--input", "/nonexistent.csv"]) == EXIT_DATA
 
 
-def test_caption_from_classes(capsys):
+def test_caption_from_classes(capsys, tmp_path):
     code = main(["caption", "--classes", "Rising,Smooth"])
     assert code == EXIT_OK
-    out = capsys.readouterr().out.strip()
-    assert out == "The signal has a rising trend. The signal has a smooth shape."
+    out = capsys.readouterr().out
+    assert out == "The signal has a rising trend. The signal has a smooth shape.\n"
+    path = tmp_path / "cap.txt"
+    assert main(["caption", "--classes", "Rising,Smooth", "--out", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == out
 
 
 def test_caption_unknown_class_exits_two():
@@ -484,12 +488,13 @@ def test_eval_report_to_file(tmp_path):
     assert json.loads(out.read_text())["sample_count"] == 1
 
 
-@pytest.mark.parametrize("command", ["synth", "eval"])
+@pytest.mark.parametrize("command", ["synth", "eval", "caption"])
 def test_output_error_names_given_path(command, tmp_path, capsys):
     captions = tmp_path / "c.jsonl"
     write_jsonl([{"id": "a", "caption_base": "x y z"}], captions)
     args = {"synth": ["synth", "--count", "2", "--length", "64"],
-            "eval": ["eval", "--candidates", str(captions), "--references", str(captions)]}
+            "eval": ["eval", "--candidates", str(captions), "--references", str(captions)],
+            "caption": ["caption", "--classes", "Rising"]}
     out = tmp_path / "missing" / "out.jsonl"
     assert main(args[command] + ["--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
@@ -1003,6 +1008,31 @@ def test_ctrl_c_exits_130_and_leaves_no_file(argv, tmp_path):
         os.killpg(proc.pid, 0)
 
 
+@pytest.mark.parametrize("command", ["caption", "nearnbr"])
+def test_late_bad_line_streams_earlier_rows_to_stdout_only(command, tmp_path, capsys):
+    # rows are written as they are made: stdout gets those before the bad
+    # line, while --out is put in place only once every row is written
+    index = tmp_path / "index.jsonl"
+    write_jsonl([{"id": f"t{i}", "caption_base": f"cap {i}", "values": [float(i)] * 16}
+                 for i in range(4)], index)
+    queries = tmp_path / "q.jsonl"
+    write_jsonl([{"id": 7 if i == 5 else f"q{i}", "classes": ["Rising"],
+                  "values": [float(i)] * 16} for i in range(8)], queries)
+    argv = {"caption": ["caption", "--input", str(queries)],
+            "nearnbr": ["nearnbr", "--index", str(index), "--queries", str(queries)]}[command]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert [json.loads(line)["id"] for line in captured.out.splitlines()] == [
+        f"q{i}" for i in range(5)]
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "line 6" in captured.err
+    out = tmp_path / "out.jsonl"
+    assert main(argv + ["--out", str(out)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["index.jsonl", "q.jsonl"]
+
+
 def test_dataset_bad_later_input_writes_nothing(tmp_path, capsys):
     good = _sine_csv(tmp_path / "good.csv", 2)
     bad = tmp_path / "bad.csv"
@@ -1053,9 +1083,33 @@ def _peak_rss_mb(argv, tmp_path) -> float:
     return int(kib) / 1024
 
 
+def _synth_argv(tmp_path, count: int) -> list:
+    return ["synth", "--count", str(count), "--out", f"s{count}.jsonl"]
+
+
+def _caption_argv(tmp_path, count: int) -> list:
+    (tmp_path / f"a{count}.jsonl").write_text("".join(
+        f'{{"id": "r{i}", "classes": ["Rising", "Smooth"]}}\n' for i in range(count)))
+    return ["caption", "--input", f"a{count}.jsonl", "--out", f"c{count}.jsonl"]
+
+
+def _nearnbr_argv(tmp_path, count: int) -> list:
+    (tmp_path / "index.jsonl").write_text("".join(
+        f'{{"id": "t{i}", "caption_base": "cap {i}", "values": {[i / 50] * 16}}}\n'
+        for i in range(50)))
+    (tmp_path / f"q{count}.jsonl").write_text("".join(
+        f'{{"id": "q{i}", "values": {[(i % 97) / 97] * 16}}}\n' for i in range(count)))
+    return ["nearnbr", "--index", "index.jsonl", "--queries", f"q{count}.jsonl",
+            "--out", f"n{count}.jsonl"]
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="needs /proc/self/status for VmHWM")
-def test_synth_peak_memory_does_not_grow_with_count(tmp_path):
-    small, large = (_peak_rss_mb(["synth", "--count", str(count), "--out", f"s{count}.jsonl"],
-                                 tmp_path) for count in (150, 1500))
-    assert abs(large - small) < 10.0, (small, large)
+@pytest.mark.parametrize("argv_for, counts, bound_mb", [
+    (_synth_argv, (150, 1500), 10.0),
+    (_caption_argv, (2000, 40000), 2.0),
+    (_nearnbr_argv, (2000, 40000), 2.0),
+], ids=["synth", "caption-input", "nearnbr"])
+def test_peak_memory_does_not_grow_with_count(argv_for, counts, bound_mb, tmp_path):
+    small, large = (_peak_rss_mb(argv_for(tmp_path, count), tmp_path) for count in counts)
+    assert abs(large - small) < bound_mb, (small, large)

@@ -11,7 +11,9 @@ flags to the readers' own checks.  Whatever the input, the run must
   argparse's ``SystemExit(0)``, which is exit 0);
 - on a non-zero exit, leave exactly one ``error:`` line on stderr, or the
   usage text;
-- on a non-zero exit, leave no ``--out`` file.
+- on a non-zero exit, leave no ``--out`` file;
+- fail as it would with a writable ``--out`` when ``--out`` cannot be
+  written, or, where it would succeed, exit 2.
 
 ``--rephrase`` is never generated and ``TACO_LLM_ENDPOINT`` is cleared, so
 no run reaches the network; ``--jobs`` is fixed at 1, and window, target and
@@ -25,7 +27,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from taco.annotator import TimeSeriesClass, default_config
@@ -199,14 +201,16 @@ _FILES = st.fixed_dictionaries({
 # ---------------------------------------------------------------------------
 
 #: File names argv may hold; each becomes a path in the run's directory.
+#: Those after ``_PATHS`` are only ever written.
 _NAMES = ("in.csv", "params.json", "config.json", "a.jsonl", "b.jsonl", "missing.csv",
-          ".", "out.jsonl", "skips.jsonl", "missing/skips.jsonl")
-_ANY_PATH = st.sampled_from(_NAMES[:-2])
+          ".", "out.jsonl", "skips.jsonl", "missing/skips.jsonl", "missing/out.jsonl")
+_PATHS = _NAMES[:-3]
+_ANY_PATH = st.sampled_from(_PATHS)
 
 
 def _path(usual: str):
     """``usual`` about half the time, else any file name."""
-    return st.sampled_from([usual] * 6 + list(_NAMES[:-2]))
+    return st.sampled_from([usual] * 6 + list(_PATHS))
 
 
 _LEN = _MOSTLY.flatmap(lambda valid: st.sampled_from(["16", "20", "32"] if valid else
@@ -272,9 +276,12 @@ _SETTINGS_KW = dict(derandomize=True, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
 
-def _check_contract(files: dict, argv: list) -> None:
-    """Write ``files`` to a fresh directory, run ``argv`` there, check the
-    exit contract."""
+def _run(files: dict, argv: list):
+    """Write ``files`` to a fresh directory and run ``argv``, each file name
+    in it made a path in that directory.  Returns the exit code, stderr and
+    whether ``out.jsonl`` exists after the run; the code is None when
+    argparse ended the run with ``SystemExit(0)``, as ``--help`` and
+    ``--version`` do."""
     with tempfile.TemporaryDirectory() as scratch:
         work = Path(scratch)
         for name, body in files.items():
@@ -284,23 +291,45 @@ def _check_contract(files: dict, argv: list) -> None:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # how argparse ends --help and --version
+            except SystemExit as exc:
                 assert exc.code == 0 and not err.getvalue(), argv
-                return
-        err = err.getvalue()
-        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), (argv, err)
-        if code != EXIT_OK:
-            one_line = err.startswith("error: ") and err.count("\n") == 1
-            usage = err.startswith("usage: ") and sum(
-                line.startswith("error: ") for line in err.splitlines()) <= 1
-            assert one_line or usage, (argv, err)
-            assert not (work / "out.jsonl").exists(), (argv, err)
+                code = None
+        return code, err.getvalue(), (work / "out.jsonl").exists()
+
+
+def _check_contract(files: dict, argv: list) -> None:
+    """Run ``argv`` on ``files`` and check the exit contract."""
+    code, err, out_exists = _run(files, argv)
+    if code is None:
+        return
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), (argv, err)
+    if code != EXIT_OK:
+        one_line = err.startswith("error: ") and err.count("\n") == 1
+        usage = err.startswith("usage: ") and sum(
+            line.startswith("error: ") for line in err.splitlines()) <= 1
+        assert one_line or usage, (argv, err)
+        assert not out_exists, (argv, err)
 
 
 @settings(max_examples=200, **_SETTINGS_KW)
 @given(files=_FILES, argv=_argv())
 def test_cli_keeps_exit_contract(files, argv):
     _check_contract(files, argv)
+
+
+@settings(max_examples=150, **_SETTINGS_KW)
+@given(files=_FILES, argv=_argv())
+@example(files={}, argv=["caption", "--classes", "Rising"])  # rarely drawn
+def test_unwritable_out_changes_no_failure(files, argv):
+    # every flag and settings check runs before --out is opened; out.jsonl
+    # is renamed everywhere in argv, so --skip-log still collides with --out
+    code, err, _ = _run(files, argv + ["--out", "out.jsonl"])
+    if code is None:
+        return
+    unwritable = [{"out.jsonl": "missing/out.jsonl"}.get(a, a) for a in argv]
+    unwritable_code, unwritable_err, _ = _run(files, unwritable + ["--out", "missing/out.jsonl"])
+    assert unwritable_code == (EXIT_DATA if code == EXIT_OK else code), (
+        argv, err, unwritable_err)
 
 
 #: A clean two-column CSV, so that runs reach the detectors.
