@@ -17,9 +17,11 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .detectors import SCORE_NAMES, DetectorParams, ScoreVector, _is_real, score_all
 from .errors import InvalidConfig, ParseError
-from .signal import NormalizedSeries, Series, minmax_normalize
+from .signal import NormalizedSeries, Series, minmax_normalize, signal_block
 
 
 class TimeSeriesClass(enum.Enum):
@@ -192,6 +194,12 @@ def _reject_constant(token: str):
 #: The one JSON decoder for input files; it refuses ``NaN`` and ``Infinity``.
 STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
+#: :data:`STRICT_DECODER` for readers that use no float: each float becomes
+#: the length of its token, far cheaper than parsing it.  That int fails a
+#: string field's check just as the float did; ``parse_float=str`` would let
+#: a float id pass as a string.
+FLOATLESS_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=len)
+
 
 @contextlib.contextmanager
 def opened(path, error=ParseError, newline=None):
@@ -298,16 +306,23 @@ class Annotation:
         return class_names(self.classes)
 
 
-def annotate(s: Series, p: DetectorParams | None = None,
-             cfg: ThresholdConfig | None = None) -> Annotation:
-    """Normalize, score and classify one raw series."""
+def annotate(s, p: DetectorParams | None = None, cfg: ThresholdConfig | None = None):
+    """Normalize, score and classify one raw series, or each row of a
+    ``(B, n)`` block, which gives a list of annotations, one per row.
+
+    Each row is min-max normalised on its own, and the rows are scored by
+    one :func:`score_all` call.
+    """
     if p is None:
         p = DetectorParams()
     if cfg is None:
         cfg = default_config()
-    if not isinstance(s, Series):
+    if not isinstance(s, Series) and not (isinstance(s, np.ndarray) and s.ndim == 2):
         s = Series(values=s)
-    normalized = minmax_normalize(s)
-    scores = score_all(normalized, p)
-    classes = assign_classes(scores, cfg)
-    return Annotation(classes=frozenset(classes), scores=scores, normalized=normalized)
+    rows, one = signal_block(s)
+    normalized = [minmax_normalize(row) for row in rows]
+    scores = score_all(np.array([series.values for series in normalized]).reshape(rows.shape), p)
+    annotations = [Annotation(classes=frozenset(assign_classes(vector, cfg)), scores=vector,
+                              normalized=series)
+                   for vector, series in zip(scores, normalized)]
+    return annotations[0] if one else annotations

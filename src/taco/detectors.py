@@ -22,12 +22,12 @@ import numpy as np
 from .errors import Degenerate, InvalidArgument, TooShort
 from .signal import (
     MIN_SERIES_LEN,
-    NormalizedSeries,
     autocorrelation,
     median_filter,
     moving_average,
     polyfit,
     segment,
+    signal_block,
     signal_values,
 )
 
@@ -153,34 +153,34 @@ SCORE_NAMES = tuple(f.name for f in fields(ScoreVector))
 
 #: Scores reported for a constant input: fits and tilings are bypassed, the
 #: periodicity gap carries the no-period sentinel, everything else is zero.
-DEGENERATE_SCORES = ScoreVector(
-    trend=0.0,
-    constancy=0.0,
-    curvature=0.0,
-    curvature_sign=0,
-    linearity_mse=0.0,
-    smooth_mse=0.0,
-    noise_mse=0.0,
-    complexity=0.0,
-    spike_pos=0.0,
-    spike_neg=0.0,
-    periodicity_gap=NO_PERIOD,
-    symmetry_err=0.0,
-    step_response=0.0,
-    amplitude_var=0.0,
-)
+DEGENERATE_SCORES = ScoreVector(**{**dict.fromkeys(SCORE_NAMES, 0.0), "curvature_sign": 0,
+                                    "periodicity_gap": NO_PERIOD})
 
 
-def _mean_pairwise_w1(segs: np.ndarray) -> float:
-    """Mean W1 distance over all unordered pairs of rows of a ``(k, m)`` view."""
-    ranked = np.sort(segs, axis=1)
-    i, j = np.triu_indices(len(ranked), 1)
-    # Summed left to right, one pair at a time.
-    return sum(np.abs(ranked[i] - ranked[j]).mean(axis=1).tolist()) / i.size
+def _row(s) -> np.ndarray:
+    return signal_values(s)[None]
 
 
-def _segments(v: np.ndarray, p: DetectorParams) -> np.ndarray:
-    return segment(v, p.effective_segments(v.size))
+def _mean_pairwise_w1(segs: np.ndarray) -> list:
+    """Mean W1 distance over all pairs of segments, per row of a ``(B, k, m)`` block."""
+    ranked = np.sort(segs, axis=-1)
+    k = ranked.shape[1]
+    # Pairs (a, b > a) in row-major order, summed left to right, one at a time.
+    gaps = np.concatenate([np.abs(ranked[:, a:a + 1] - ranked[:, a + 1:]).mean(axis=-1)
+                           for a in range(k - 1)], axis=1)
+    return [sum(row) / (k * (k - 1) // 2) for row in gaps.tolist()]
+
+
+def _segments(V: np.ndarray, p: DetectorParams) -> np.ndarray:
+    return segment(V, p.effective_segments(V.shape[1]))
+
+
+def _trend(V: np.ndarray) -> list:
+    dt = np.linspace(0.0, 1.0, V.shape[1])
+    dt -= dt.mean()
+    tt = float(np.dot(dt, dt))
+    return [min(1.0, max(-1.0, float(np.dot(dt, dv)) / math.sqrt(tt * float(np.dot(dv, dv)))))
+            for dv in V - V.mean(axis=1, keepdims=True)]
 
 
 def score_trend(s) -> float:
@@ -189,13 +189,10 @@ def score_trend(s) -> float:
     +1 for a perfect rise, -1 for a perfect fall, near 0 when there is no
     monotone drift.
     """
-    v = signal_values(s)
-    if np.ptp(v) == 0.0:
+    V = _row(s)
+    if np.ptp(V) == 0.0:
         raise Degenerate("score undefined on a constant signal")
-    t = np.linspace(0.0, 1.0, v.size)
-    dt, dv = t - t.mean(), v - v.mean()
-    r = float(np.dot(dt, dv)) / math.sqrt(float(np.dot(dt, dt)) * float(np.dot(dv, dv)))
-    return min(1.0, max(-1.0, r))
+    return _trend(V)[0]
 
 
 def score_constancy(s, p: DetectorParams) -> float:
@@ -204,7 +201,7 @@ def score_constancy(s, p: DetectorParams) -> float:
     Near zero when every stretch of the signal looks the same
     (distribution-stationary), large when the level wanders.
     """
-    return _mean_pairwise_w1(_segments(signal_values(s), p))
+    return _mean_pairwise_w1(_segments(_row(s), p))[0]
 
 
 def _curvature(fit1: tuple, fit2: tuple) -> tuple[float, int]:
@@ -228,20 +225,23 @@ def score_linearity(s) -> float:
     return mse
 
 
+def _smooth(V: np.ndarray, p: DetectorParams) -> list:
+    smoothed = np.array([moving_average(v, p.ma_window(V.shape[1])) for v in V])
+    return np.mean((smoothed - V) ** 2, axis=1).tolist()
+
+
 def score_smooth(s, p: DetectorParams) -> float:
     """MSE between the signal and its moving average.
 
     Small for slowly varying signals; jagged or noisy signals leave a large
     residual after averaging.
     """
-    v = signal_values(s)
-    smoothed = moving_average(v, p.ma_window(v.size))
-    return float(np.mean((smoothed - v) ** 2))
+    return _smooth(_row(s), p)[0]
 
 
-def _noise(v: np.ndarray, filtered: np.ndarray, w: int) -> float:
-    suppressed = median_filter(np.abs(v - filtered), w)
-    return float(np.mean(suppressed ** 2))
+def _noise(V: np.ndarray, filtered: np.ndarray, w: int) -> list:
+    suppressed = median_filter(np.abs(V - filtered), w)
+    return np.mean(suppressed ** 2, axis=1).tolist()
 
 
 def score_noise(s, p: DetectorParams) -> float:
@@ -251,9 +251,9 @@ def score_noise(s, p: DetectorParams) -> float:
     second median filter on ``|r|`` suppresses isolated spikes so they are
     counted by the spike scores instead of here.
     """
-    v = signal_values(s)
-    w = p.median_window(v.size)
-    return _noise(v, median_filter(v, w), w)
+    V = _row(s)
+    w = p.median_window(V.shape[1])
+    return _noise(V, median_filter(V, w), w)[0]
 
 
 def score_complexity(s, p: DetectorParams) -> float:
@@ -262,16 +262,15 @@ def score_complexity(s, p: DetectorParams) -> float:
     A signal whose local increments keep the same distribution everywhere
     (straight line, steady wave) scores low; erratic signals score high.
     """
-    return _mean_pairwise_w1(_segments(np.diff(signal_values(s)), p))
+    return _mean_pairwise_w1(_segments(np.diff(_row(s), axis=1), p))[0]
 
 
-def _spikes(segs: np.ndarray, filtered: np.ndarray,
-            p: DetectorParams) -> tuple[float, float]:
-    offset = p.spike_sigma * float(filtered.std())
-    med = np.median(segs, axis=1)
-    up = segs.max(axis=1) - (med + offset)
-    down = (med - offset) - segs.min(axis=1)
-    return float(up.max()), float(down.max())
+def _spikes(segs: np.ndarray, filtered: np.ndarray, p: DetectorParams) -> tuple[list, list]:
+    offset = p.spike_sigma * filtered.std(axis=1, keepdims=True)
+    med = np.median(segs, axis=-1)
+    up = segs.max(axis=-1) - (med + offset)
+    down = (med - offset) - segs.min(axis=-1)
+    return up.max(axis=1).tolist(), down.max(axis=1).tolist()
 
 
 def score_spikes(s, p: DetectorParams, direction: str) -> float:
@@ -284,9 +283,9 @@ def score_spikes(s, p: DetectorParams, direction: str) -> float:
     """
     if direction not in ("up", "down"):
         raise InvalidArgument(f"direction must be 'up' or 'down', got {direction!r}")
-    v = signal_values(s)
-    up, down = _spikes(_segments(v, p), median_filter(v, p.median_window(v.size)), p)
-    return up if direction == "up" else down
+    V = _row(s)
+    up, down = _spikes(_segments(V, p), median_filter(V, p.median_window(V.shape[1])), p)
+    return (up if direction == "up" else down)[0]
 
 
 def _find_cycle_lag(r: np.ndarray) -> int | None:
@@ -328,6 +327,27 @@ def score_periodicity(s, p: DetectorParams) -> float:
     return _periodicity(signal_values(s), autocorrelation(s), score_linearity(s))
 
 
+def _cumsum(V: np.ndarray) -> np.ndarray:
+    """Each row's running sums, after a leading zero."""
+    return np.concatenate((np.zeros((len(V), 1)), np.cumsum(V, axis=1)), axis=1)
+
+
+def _symmetry(V: np.ndarray, p: DetectorParams) -> list:
+    n = V.shape[1]
+    k = np.arange(0, n // 2 + 1, p.pad_step(n))
+    spectrum = np.fft.rfft(V, 2 * n, axis=1)
+    spectrum *= spectrum
+    conv = np.fft.irfft(spectrum, 2 * n, axis=1)
+    del spectrum  # freed early: each temporary holds every row of the block
+    energy = np.array([[float(np.dot(v, v))] for v in V])
+    head, tail = _cumsum(V)[:, k], _cumsum(V[:, ::-1])[:, k]
+    first, last = V[:, :1], V[:, -1:]
+    front = k * first ** 2 - conv[:, n - 1 - k] - 2.0 * first * tail
+    back = k * last ** 2 - conv[:, n - 1 + k] - 2.0 * last * head
+    sums = 2.0 * (energy + np.minimum(front, back))
+    return np.min(np.maximum(sums, 0.0) / (n + k), axis=1).tolist()
+
+
 def score_symmetry(s, p: DetectorParams) -> float:
     """Minimum MSE between the signal and its reversal over a padding sweep.
 
@@ -339,18 +359,20 @@ def score_symmetry(s, p: DetectorParams) -> float:
     mirror difference ``2 (v.v + k v[0]**2 - c[n-1-k] - 2 v[0] S)``, with ``c``
     the self-convolution and ``S`` the last ``k`` values' sum; back mirrors it.
     """
-    v = signal_values(s)
-    n = v.size
-    k = np.arange(0, n // 2 + 1, p.pad_step(n))
-    spectrum = np.fft.rfft(v, 2 * n)
-    conv = np.fft.irfft(spectrum * spectrum, 2 * n)
-    energy = float(np.dot(v, v))
-    head = np.concatenate(([0.0], np.cumsum(v)))
-    tail = np.concatenate(([0.0], np.cumsum(v[::-1])))
-    front = k * v[0] ** 2 - conv[n - 1 - k] - 2.0 * v[0] * tail[k]
-    back = k * v[-1] ** 2 - conv[n - 1 + k] - 2.0 * v[-1] * head[k]
-    sums = 2.0 * (energy + np.minimum(front, back))
-    return float(np.min(np.maximum(sums, 0.0) / (n + k)))
+    return _symmetry(_row(s), p)[0]
+
+
+def _step(V: np.ndarray, p: DetectorParams) -> list:
+    n = V.shape[1]
+    csum = _cumsum(V)
+    best = np.zeros(len(V))
+    for length in p.kernel_lengths(n):
+        half = length // 2
+        m = n - length + 1  # kernel positions
+        first = (csum[:, half:half + m] - csum[:, :m]) / half
+        second = (csum[:, length:length + m] - csum[:, half:half + m]) / half
+        best = np.maximum(best, np.max(np.abs(second - first), axis=1))
+    return best.tolist()
 
 
 def score_step(s, p: DetectorParams) -> float:
@@ -361,63 +383,56 @@ def score_step(s, p: DetectorParams) -> float:
     over all kernel lengths and positions, and the absolute value makes
     falling edges count as steps too.
     """
-    v = signal_values(s)
-    n = v.size
-    csum = np.concatenate([[0.0], np.cumsum(v)])
-    best = 0.0
-    for length in p.kernel_lengths(n):
-        half = length // 2
-        m = n - length + 1  # kernel positions
-        first = (csum[half:half + m] - csum[:m]) / half
-        second = (csum[length:length + m] - csum[half:half + m]) / half
-        best = max(best, float(np.max(np.abs(second - first))))
-    return best
-
-
-def _amplitude(segs: np.ndarray) -> float:
-    return float(segs.var(axis=1).max())
+    return _step(_row(s), p)[0]
 
 
 def score_amplitude(s, p: DetectorParams) -> float:
     """Maximum per-segment population variance of the values."""
-    return _amplitude(_segments(signal_values(s), p))
+    return float(_segments(_row(s), p).var(axis=-1).max())
 
 
-def score_all(s: NormalizedSeries, p: DetectorParams | None = None) -> ScoreVector:
-    """Run every detector once and collect the scores.
+def score_all(s, p: DetectorParams | None = None):
+    """Every detector's score for one signal (a :class:`ScoreVector`), or
+    for each row of a ``(B, n)`` block (a list), in one pass over the block.
 
-    The work several families share (the two polynomial fits, the median
-    filter, the segmentation and the autocorrelation) is done once per call.
-    A constant input bypasses the fit- and correlation-based detectors and
-    returns the documented sentinel vector.
-    """
-    if p is None:
-        p = DetectorParams()
-    v = signal_values(s)
-    if v.size < MIN_SERIES_LEN:
-        raise TooShort(
-            f"signal has {v.size} samples, need at least {MIN_SERIES_LEN}")
-    if np.ptp(v) == 0.0:
-        return DEGENERATE_SCORES
-    fit1 = polyfit(v, 1)
-    w = p.median_window(v.size)
-    filtered = median_filter(v, w)
-    segs = _segments(v, p)
-    curvature, curvature_sign = _curvature(fit1, polyfit(v, 2))
+    Block steps are row-wise reductions, sorts, running sums and FFTs, and
+    BLAS dot products, ``lstsq`` fits and convolutions run row by row, so a
+    row's scores do not depend on the rows beside it.  A constant row gets
+    the documented sentinel vector."""
+    p = p or DetectorParams()
+    X, one = signal_block(s)
+    if X.shape[1] < MIN_SERIES_LEN:
+        raise TooShort(f"signal has {X.shape[1]} samples, need at least {MIN_SERIES_LEN}")
+    live = np.ptp(X, axis=1) != 0.0
+    scored = iter(_score_rows(X[live], p) if live.any() else ())
+    scores = [next(scored) if alive else DEGENERATE_SCORES for alive in live]
+    return scores[0] if one else scores
+
+
+def _score_rows(V: np.ndarray, p: DetectorParams) -> list:
+    """:func:`score_all` over a block of non-constant rows."""
+    fits1 = [polyfit(v, 1) for v in V]
+    w = p.median_window(V.shape[1])
+    filtered = median_filter(V, w)
+    segs = _segments(V, p)
+    curvature, curvature_sign = zip(*(_curvature(fit, polyfit(v, 2))
+                                      for v, fit in zip(V, fits1)))
     spike_pos, spike_neg = _spikes(segs, filtered, p)
-    return ScoreVector(
-        trend=score_trend(v),
+    columns = dict(
+        trend=_trend(V),
         constancy=_mean_pairwise_w1(segs),
         curvature=curvature,
         curvature_sign=curvature_sign,
-        linearity_mse=fit1[1],
-        smooth_mse=score_smooth(v, p),
-        noise_mse=_noise(v, filtered, w),
-        complexity=score_complexity(v, p),
+        linearity_mse=[mse for _, mse in fits1],
+        smooth_mse=_smooth(V, p),
+        noise_mse=_noise(V, filtered, w),
+        complexity=_mean_pairwise_w1(_segments(np.diff(V, axis=1), p)),
         spike_pos=spike_pos,
         spike_neg=spike_neg,
-        periodicity_gap=_periodicity(v, autocorrelation(v), fit1[1]),
-        symmetry_err=score_symmetry(v, p),
-        step_response=score_step(v, p),
-        amplitude_var=_amplitude(segs),
+        periodicity_gap=[_periodicity(v, r, mse) for v, r, (_, mse)
+                         in zip(V, autocorrelation(V), fits1)],
+        symmetry_err=_symmetry(V, p),
+        step_response=_step(V, p),
+        amplitude_var=segs.var(axis=-1).max(axis=-1).tolist(),
     )
+    return [ScoreVector(**dict(zip(columns, row))) for row in zip(*columns.values())]

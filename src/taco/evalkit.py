@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .annotator import FLOATLESS_DECODER
 from .errors import AlignmentError, EmptyIndex, InvalidArgument, ParseError, TacoError
 from .pipeline import iter_jsonl
 from .signal import signal_values
@@ -323,8 +324,9 @@ def iter_nearnbr(index: TrainIndex, path):
 
 
 def _load_caption_map(path) -> dict:
+    """Each record's effective caption by id; no float in the file is parsed."""
     captions = {}
-    for record in iter_jsonl(path):
+    for record in iter_jsonl(path, FLOATLESS_DECODER):
         if record.id in captions:
             raise ParseError(f"{path}: id {record.id!r} appears more than once")
         captions[record.id] = record.caption()

@@ -1,14 +1,15 @@
 """Dataset construction: CSV windows in, JSONL caption records out.
 
 Raw CSV columns are cut into fixed-length windows, resampled to a common
-length by linear interpolation, normalized, annotated and captioned.  Window
-processing is embarrassingly parallel; results are always emitted in
-(file, column, window) order regardless of worker count, so identical inputs
-and configuration produce byte-identical output files.
+length by linear interpolation, normalized, annotated and captioned.  Windows
+are processed a chunk of ``CHUNK_TASKS`` at a time, each chunk annotated as
+one block; chunks are independent, so they run in parallel, and results are
+always emitted in (file, column, window) order regardless of worker count,
+so identical inputs and configuration produce byte-identical output files.
 
-Records stream: each window's record, or its encoded JSONL line, is yielded
-as soon as it is built and in order, and workers run the serialiser, so
-memory does not grow with the size of the output.
+Records stream: each chunk's records, or their encoded JSONL lines, are
+yielded in order as soon as the chunk is done, and workers run the
+serialiser, so memory does not grow with the size of the output.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -222,53 +223,68 @@ def _record(tag: str, source: str, classes: list, scores: dict, caption: str,
                          caption_base=caption, config_digest=digest, values=values)
 
 
-def _window_outcome(window, *, params, cfg, target_len, include_values, digest, encode):
-    """Resample, annotate and caption one window.
+def _window_outcomes(windows, *, params, cfg, target_len, include_values, digest, encode):
+    """Resample a chunk of windows into one block, then annotate and caption it.
 
-    Returns ``("ok", record)``, the record encoded when ``encode`` is given,
-    or ``("skip", {"source", "reason"})``.
+    Yields one outcome per window, in order: ``("ok", record)``, the record
+    encoded when ``encode`` is given, or ``("skip", {"source", "reason"})``
+    for a window that cannot be resampled.
     """
-    tag, values = window
-    try:
-        annotation = annotate(resample_linear(values, target_len), params, cfg)
-    except TacoError as exc:
-        return ("skip", {"source": tag, "reason": f"{type(exc).__name__}: {exc}"})
-    record = _record(tag, tag, annotation.class_names(), annotation.scores.as_dict(),
-                     base_caption(annotation.classes), digest,
-                     annotation.normalized if include_values else None)
-    return ("ok", encode(record) if encode else record)
+    outcomes, rows = [], []
+    for tag, values in windows:
+        try:
+            rows.append(resample_linear(values, target_len))
+        except TacoError as exc:
+            outcomes.append(("skip", {"source": tag, "reason": f"{type(exc).__name__}: {exc}"}))
+        else:
+            outcomes.append(("ok", tag))
+    annotations = iter(annotate(np.array(rows), params, cfg) if rows else ())
+    for kind, item in outcomes:
+        if kind == "ok":
+            annotation = next(annotations)
+            item = _record(item, item, annotation.class_names(), annotation.scores.as_dict(),
+                           base_caption(annotation.classes), digest,
+                           annotation.normalized if include_values else None)
+            item = encode(item) if encode else item
+        yield kind, item
 
 
-def _synth_record(i, *, master_seed, annotate_also, params, cfg, include_values, length,
-                  constraints, digest, encode):
-    """Generate record ``i`` of a forward dataset, encoded when ``encode`` is given."""
-    child_seed = np.random.SeedSequence(entropy=(master_seed, i))
-    spec = sample_spec(child_seed, constraints=constraints, length=length)
-    synth_record = generate(spec)
-    classes = list(synth_record.forward_classes)
-    caption = synth_record.caption
-    scores: dict = {}
+def _synth_records(indices, *, master_seed, annotate_also, params, cfg, include_values,
+                   length, constraints, digest, encode):
+    """Yield the records of a chunk of forward-dataset indices, encoded when
+    ``encode`` is given; with ``annotate_also`` their signals are annotated
+    as one block."""
+    synths = (generate(sample_spec(np.random.SeedSequence(entropy=(master_seed, i)),
+                                   constraints=constraints, length=length))
+              for i in indices)
+    annotations = repeat(None)  # plain records are built one at a time, as generated
     if annotate_also:
-        annotation = annotate(synth_record.values, params, cfg)
-        caption = f"{caption} {base_caption(annotation.classes)}"
-        classes += [c for c in annotation.class_names() if c not in classes]
-        scores = annotation.scores.as_dict()
-        kept = annotation.normalized if include_values else None
-    else:
-        kept = minmax_normalize(synth_record.values) if include_values else None
-    record = _record(f"synth-{i:06d}", "synth", classes, scores, caption, digest, kept)
-    return encode(record) if encode else record
+        synths = list(synths)
+        annotations = annotate(np.array([synth.values for synth in synths]), params, cfg)
+    for i, synth, annotation in zip(indices, synths, annotations):
+        classes = list(synth.forward_classes)
+        caption = synth.caption
+        scores: dict = {}
+        if annotation is not None:
+            caption = f"{caption} {base_caption(annotation.classes)}"
+            classes += [c for c in annotation.class_names() if c not in classes]
+            scores = annotation.scores.as_dict()
+            kept = annotation.normalized if include_values else None
+        else:
+            kept = minmax_normalize(synth.values) if include_values else None
+        record = _record(f"synth-{i:06d}", "synth", classes, scores, caption, digest, kept)
+        yield encode(record) if encode else record
 
 
-#: Tasks per chunk a pool worker runs, and chunks in flight per worker.  Both
+#: Tasks per chunk a worker runs, and chunks in flight per pool worker.  Both
 #: are fixed, so with ``jobs`` workers at most ``jobs * CHUNKS_PER_JOB``
 #: chunks are submitted and not yet consumed, whatever the input size.
 CHUNK_TASKS = 8
 CHUNKS_PER_JOB = 2
 
 
-def _run_chunk(worker, items) -> list:
-    return [worker(item) for item in items]
+def _listed(worker, chunk) -> list:
+    return list(worker(chunk))
 
 
 def in_order(pool, fn, items, ahead: int):
@@ -292,15 +308,17 @@ def in_order(pool, fn, items, ahead: int):
 
 
 def _ordered(worker, items, jobs: int):
-    """Yield ``worker(item)`` for each item, in item order.
+    """Yield one result per item, in item order, from ``worker``, which takes
+    a list of up to ``CHUNK_TASKS`` items and returns or yields their results;
+    inline, a generator worker's results are consumed one at a time.
 
     With ``jobs`` > 1 and more than one chunk of items, chunks run on a
     process pool through :func:`in_order`, ``jobs * CHUNKS_PER_JOB`` chunks
     ahead of the consumer; otherwise the worker runs inline.
     """
+    tasks = iter(items)
+    chunks = iter(lambda: list(islice(tasks, CHUNK_TASKS)), [])
     if jobs > 1:
-        tasks = iter(items)
-        chunks = iter(lambda: list(islice(tasks, CHUNK_TASKS)), [])
         head = list(islice(chunks, 2))
         if len(head) == 2:
             # imported here, so that starting the CLI loads neither
@@ -318,15 +336,14 @@ def _ordered(worker, items, jobs: int):
             pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context,
                                        initializer=signal.signal,
                                        initargs=(signal.SIGINT, signal.SIG_IGN))
-            results = in_order(pool, partial(_run_chunk, worker), chain(head, chunks),
+            results = in_order(pool, partial(_listed, worker), chain(head, chunks),
                                jobs * CHUNKS_PER_JOB)
             with contextlib.closing(results):
                 # chain drops each chunk before waiting for the next
                 yield from chain.from_iterable(results)
             return
-        items = chain.from_iterable(head)
-    for item in items:
-        yield worker(item)
+        chunks = iter(head)
+    yield from chain.from_iterable(map(worker, chunks))
 
 
 def iter_dataset(spec: IngestSpec, skips: list, params: DetectorParams | None = None,
@@ -339,7 +356,7 @@ def iter_dataset(spec: IngestSpec, skips: list, params: DetectorParams | None = 
     """
     params = params or DetectorParams()
     cfg = cfg or default_config()
-    worker = partial(_window_outcome, params=params, cfg=cfg, target_len=spec.target_len,
+    worker = partial(_window_outcomes, params=params, cfg=cfg, target_len=spec.target_len,
                      include_values=include_values, digest=config_digest(params, cfg),
                      encode=encode)
     for kind, item in _ordered(worker, ingest_csv(spec), jobs):
@@ -381,7 +398,7 @@ def iter_forward(n: int, master_seed: int, annotate_also: bool = False,
         raise InvalidArgument(f"n must be >= 1, got {n}")
     params = params or DetectorParams()
     cfg = cfg or default_config()
-    worker = partial(_synth_record, master_seed=int(master_seed),
+    worker = partial(_synth_records, master_seed=int(master_seed),
                      annotate_also=annotate_also, params=params, cfg=cfg,
                      include_values=include_values, length=length, constraints=constraints,
                      digest=config_digest(params, cfg), encode=encode)
@@ -453,8 +470,10 @@ def written_in_place(path) -> bool:
     return os.path.exists(path) and not os.path.isfile(path)
 
 
-def iter_jsonl(path):
-    """Yield the records of a JSONL dataset file one line at a time.
+def iter_jsonl(path, decoder=STRICT_DECODER):
+    """Yield the records of a JSONL dataset file one line at a time, each
+    line decoded by ``decoder``; a reader that uses no score and no value
+    passes ``annotator.FLOATLESS_DECODER``, which parses no float.
 
     Malformed lines (including a truncated final line, the non-finite
     tokens ``NaN``, ``Infinity`` and ``-Infinity``, and a record field of
@@ -467,7 +486,7 @@ def iter_jsonl(path):
             if not stripped and line.endswith("\n"):
                 continue
             try:
-                data = STRICT_DECODER.decode(stripped)
+                data = decoder.decode(stripped)
             except (ValueError, RecursionError) as exc:
                 raise ParseError(
                     f"{path}: malformed JSON at line {line_num}: {exc}",

@@ -21,7 +21,7 @@ from .errors import Degenerate, InvalidArgument, InvalidSignal, TooShort
 MIN_SERIES_LEN = 16
 
 #: Largest scratch block, in bytes, that :func:`median_filter` copies windows
-#: into at once; small enough to stay in cache and never page-fault.
+#: of ranks into at once; small enough to stay in cache and never page-fault.
 MEDIAN_BLOCK_BYTES = 64 * 1024
 
 
@@ -33,6 +33,14 @@ def signal_values(s) -> np.ndarray:
     if out.ndim != 1:
         out = out.reshape(-1)
     return out
+
+
+def signal_block(s) -> tuple[np.ndarray, bool]:
+    """``(X, one)``: a 2-D array as the float64 ``(B, n)`` block it is, or any
+    other signal (see :func:`signal_values`) as a one-row block, ``one`` true."""
+    if isinstance(s, np.ndarray) and s.ndim == 2:
+        return s.astype(float, copy=False), False
+    return signal_values(s)[None], True
 
 
 @dataclass(frozen=True)
@@ -127,22 +135,23 @@ def resample_linear(s, target_len: int) -> np.ndarray:
 
 
 def segment(s, k: int) -> np.ndarray:
-    """Split a signal into ``k`` equal-length contiguous slices.
-
-    Returns a ``(k, m)`` view whose rows are the slices, so per-segment
-    statistics are axis-1 reductions.  Slice length ``m`` is ``floor(n / k)``;
-    remainder samples at the tail are dropped so every slice has the same
-    size (which keeps the sorted-sample Wasserstein form exact).
+    """Split a signal, or each row of a ``(B, n)`` block, into ``k``
+    equal-length contiguous slices: a ``(k, m)`` view (``(B, k, m)`` for a
+    block), so per-segment statistics are last-axis reductions.  Slice length
+    ``m`` is ``floor(n / k)``; remainder samples at the tail are dropped so
+    every slice has the same size (which keeps the sorted-sample Wasserstein
+    form exact).
     """
-    v = signal_values(s)
+    X, one = signal_block(s)
     if k < 1:
         raise InvalidArgument(f"k must be positive, got {k}")
-    m = v.size // k
+    m = X.shape[1] // k
     if m < 2:
         raise TooShort(
-            f"{v.size} samples split into {k} segments leaves {m} per segment,"
+            f"{X.shape[1]} samples split into {k} segments leaves {m} per segment,"
             " need at least 2")
-    return v[:k * m].reshape(k, m)
+    segs = X[:, :k * m].reshape(len(X), k, m)
+    return segs[0] if one else segs
 
 
 @lru_cache(maxsize=8)
@@ -180,32 +189,41 @@ def polyfit(s: NormalizedSeries, degree: int) -> tuple[np.ndarray, float]:
 
 
 def median_filter(s, window: int) -> np.ndarray:
-    """Sliding-window median with edge-replication padding.
+    """Sliding-window median with edge-replication padding, of one signal or
+    of each row of a ``(B, n)`` block; the output has the input's shape.
 
-    Output has the same length as the input.  The window must be odd so the
-    filter is centered.  Windows are copied into one small reused buffer a
-    block of rows at a time, never all ``n * window`` at once, and sorted in
-    place (numpy's SIMD row sort beats ``partition``); each output is an
-    element of its window, so the result is exact.
+    The window must be odd so the filter is centered.  Each row is filtered
+    on its ranks (int16 unless n > 32767): windows of ranks are sorted in one
+    reused buffer, at most ``MEDIAN_BLOCK_BYTES`` at a time, and each middle
+    rank maps back to its value.  Each output is an element of its window,
+    so the result is exact.
     """
-    v = signal_values(s)
+    X, one = signal_block(s)
+    n = X.shape[1]
     if window < 1 or window % 2 == 0:
         raise InvalidArgument(f"window must be an odd positive integer, got {window}")
-    if window > v.size:
-        raise InvalidArgument(
-            f"window {window} exceeds signal length {v.size}")
+    if window > n:
+        raise InvalidArgument(f"window {window} exceeds signal length {n}")
     half = window // 2
-    padded = np.pad(v, half, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, window)
-    rows = max(1, min(v.size, MEDIAN_BLOCK_BYTES // (8 * window)))
-    buffer = np.empty((rows, window))
-    out = np.empty(v.size)
-    for start in range(0, v.size, rows):
-        block = buffer[:min(rows, v.size - start)]
+    order = np.argsort(X, axis=1)
+    dtype = np.int16 if n <= 32767 else np.int32
+    ranks = np.empty(X.shape, dtype)
+    np.put_along_axis(ranks, order, np.arange(n, dtype=dtype), axis=1)
+    ranks = np.pad(ranks, ((0, 0), (half, half)), mode="edge")  # rows lie end to end
+    width = ranks.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(ranks.reshape(-1), window)
+    middle = np.empty(ranks.size, dtype)  # a window that spans two rows is never read
+    rows = max(1, MEDIAN_BLOCK_BYTES // (ranks.itemsize * window))
+    buffer = np.empty((rows, window), dtype)
+    for start in range(0, len(windows), rows):
+        block = buffer[:min(rows, len(windows) - start)]
         block[...] = windows[start:start + len(block)]
         block.sort(axis=1)
-        out[start:start + len(block)] = block[:, half]
-    return out
+        middle[start:start + len(block)] = block[:, half]
+    at = np.take_along_axis(order, middle.reshape(-1, width)[:, :n], axis=1)
+    del order  # freed early: each temporary holds every row of the block
+    out = np.take_along_axis(X, at, axis=1)
+    return out[0] if one else out
 
 
 def moving_average(s, window: int) -> np.ndarray:
@@ -222,20 +240,22 @@ def moving_average(s, window: int) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def autocorrelation(s: NormalizedSeries) -> np.ndarray:
-    """Normalized autocorrelation of the mean-removed signal.
-
-    Returns ``r[0..n//2]`` with ``r[0] == 1``.  Undefined (raises
-    :class:`Degenerate`) when the signal has zero variance.  Computed by
-    Wiener-Khinchin: the inverse FFT of the power spectrum, zero-padded to
+def autocorrelation(s) -> np.ndarray:
+    """Normalized autocorrelation ``r[0..n//2]`` (``r[0] == 1``) of the
+    mean-removed signal, or of each row of a ``(B, n)`` block.  Undefined
+    (raises :class:`Degenerate`) when a signal has zero variance.  Computed
+    by Wiener-Khinchin: the inverse FFT of the power spectrum, zero-padded to
     ``2n`` so no lag wraps around.
     """
-    v = signal_values(s)
-    x = v - v.mean()
-    denom = float(np.dot(x, x))
-    if denom <= 0.0:
+    X, one = signal_block(s)
+    x = X - X.mean(axis=1, keepdims=True)
+    denom = np.array([float(np.dot(row, row)) for row in x])
+    if np.any(denom <= 0.0):
         raise Degenerate("autocorrelation undefined on a constant signal")
-    n = x.size
-    spectrum = np.fft.rfft(x, 2 * n)
-    power = spectrum.real ** 2 + spectrum.imag ** 2
-    return np.fft.irfft(power, 2 * n)[:n // 2 + 1] / denom
+    n = x.shape[1]
+    spectrum = np.fft.rfft(x, 2 * n, axis=1)
+    power = spectrum.real ** 2
+    power += spectrum.imag ** 2
+    del x, spectrum  # freed early: each temporary holds every row of the block
+    r = np.fft.irfft(power, 2 * n, axis=1)[:, :n // 2 + 1] / denom[:, None]
+    return r[0] if one else r

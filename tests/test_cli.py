@@ -488,6 +488,18 @@ def test_eval_report_to_file(tmp_path):
     assert json.loads(out.read_text())["sample_count"] == 1
 
 
+@pytest.mark.parametrize("field", ["id", "caption_base"])
+def test_eval_refuses_a_float_string_field(field, tmp_path, capsys):
+    # eval decodes no float's value, yet a float where a string belongs
+    # still fails the field's check, with the message it always had
+    cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+    row = {"id": "a", "caption_base": "x y z", "values": [0.25, 1e300]}
+    write_jsonl([row], cands)
+    write_jsonl([row | {field: 1.5}], refs)
+    assert main(["eval", "--candidates", str(cands), "--references", str(refs)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {refs}: {field!r} must be a string at line 1\n"
+
+
 @pytest.mark.parametrize("command", ["synth", "eval", "caption"])
 def test_output_error_names_given_path(command, tmp_path, capsys):
     captions = tmp_path / "c.jsonl"
@@ -919,9 +931,9 @@ def test_pool_workers_run_blas_on_one_thread():
     # each worker makes a BLAS call large enough to be split across threads,
     # then counts its own threads
     probe = ("import os, taco.pipeline, numpy as np\n"
-             "def threads(item):\n"
+             "def threads(chunk):\n"
              "    np.ones((64, 2048)) @ np.ones((2048, 300))\n"
-             "    return len(os.listdir('/proc/self/task'))\n"
+             "    return [len(os.listdir('/proc/self/task'))] * len(chunk)\n"
              "print(*sorted(set(taco.pipeline._ordered(threads, range(32), 2))))\n")
     result = subprocess.run([sys.executable, "-c", probe], env=_blas_env(),
                             capture_output=True, text=True, check=True, timeout=120)

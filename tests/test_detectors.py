@@ -1,5 +1,6 @@
 """Score procedures against analytic fixtures and independent oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from taco.detectors import (
     score_symmetry,
     score_trend,
 )
-from taco.errors import Degenerate, InvalidArgument
+from taco.errors import Degenerate, InvalidArgument, TooShort
 from taco.signal import NormalizedSeries, minmax_normalize
 
 from oracles import (
@@ -438,6 +439,40 @@ def test_score_all_equals_individual_calls():
         )
         assert scores == individual, values.size
         assert assign_classes(scores, cfg) == assign_classes(individual, cfg)
+
+
+def _bits(scores: ScoreVector) -> str:
+    """Every score's exact bits, the sign of zero included."""
+    return repr(dataclasses.astuple(scores))
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+def test_score_all_block_row_equals_the_row_alone(n):
+    # a row's scores must not depend on the rows beside it: the row at each
+    # position of a block of 8 random neighbours, then in blocks of 1 to 8
+    rng = np.random.default_rng(n)
+    t = grid(n)
+    signals = [rng.normal(size=n), np.sin(2 * np.pi * 5.5 * t) + 0.1 * rng.normal(size=n),
+               (t > 0.4) + 0.01 * rng.normal(size=n), np.round(rng.uniform(size=n) * 3),
+               (t - 0.5) ** 2, np.full(n, 2.0)]
+    for values in signals:
+        alone = score_all(norm(values), PARAMS)
+        row = norm(values).values
+        for size in range(1, 9):
+            for position in (range(8) if size == 8 else [size - 1]):
+                block = np.array([norm(np.cumsum(rng.normal(size=n))).values
+                                  if rng.uniform() < 0.9 else np.zeros(n)
+                                  for _ in range(size)])
+                block[position] = row
+                scored = score_all(block, PARAMS)
+                assert len(scored) == size
+                assert _bits(scored[position]) == _bits(alone), (size, position)
+
+
+def test_score_all_block_of_rows_and_of_none():
+    assert score_all(np.zeros((0, 64)), PARAMS) == []
+    with pytest.raises(TooShort):
+        score_all(np.ones((3, 15)), PARAMS)
 
 
 def test_reversal_invariant_scores():

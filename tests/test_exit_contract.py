@@ -16,8 +16,13 @@ flags to the readers' own checks.  Whatever the input, the run must
   written, or, where it would succeed, exit 2.
 
 ``--rephrase`` is never generated and ``TACO_LLM_ENDPOINT`` is cleared, so
-no run reaches the network; ``--jobs`` is fixed at 1, and window, target and
-synth lengths stay small, so each run takes milliseconds.
+no run reaches the network.  Window, target and synth lengths stay small,
+so each run takes milliseconds.  One argv in ten is ``caption --classes``
+with valid class names and no ``--input``, a run that can succeed, which
+the general draw almost never reaches.  About one ``dataset`` draw in ten
+takes ``--jobs 2``, and one test runs ``dataset --jobs 2`` on CSVs long
+enough for the process pool to start, so what a worker meets in its chunk
+is drawn too.
 """
 
 import contextlib
@@ -220,13 +225,15 @@ _SETTINGS = {"--config": _path("config.json"), "--params": _path("params.json")}
 _INGEST = {"--input": _path("in.csv"), "--window": _LEN, "--target-len": _LEN}
 _COLUMN = st.sampled_from(["a", "b", "v"]) | _WORD
 _STRIDE = st.sampled_from(["1", "7", "16", "0"])
+#: ``--jobs 2`` one time in ten.
+_JOBS = st.sampled_from(["1", "2"] + ["1"] * 8)
 
 #: Per subcommand: the flags it is given (each is left out one time in
 #: ten), and the flags it may also get, with their values; a None value is
-#: a switch.  ``--jobs`` is fixed at 1.
+#: a switch.  ``dataset`` runs one time in ten with ``--jobs 2``.
 _COMMANDS = {
-    "dataset": (_INGEST | _SETTINGS, {
-        "--column": _COLUMN, "--stride": _STRIDE, "--jobs": st.just("1"),
+    "dataset": (_INGEST | _SETTINGS | {"--jobs": _JOBS}, {
+        "--column": _COLUMN, "--stride": _STRIDE,
         "--no-values": _SWITCH,
         "--skip-log": st.sampled_from(["skips.jsonl", "out.jsonl", "missing/skips.jsonl"])}),
     "nearnbr": ({"--index": _path("a.jsonl"), "--queries": _path("b.jsonl")}, {}),
@@ -244,8 +251,19 @@ _COMMANDS = {
 }
 
 
+#: Valid class names for a ``caption --classes`` run that can succeed.
+_VALID_CLASSES = st.lists(st.sampled_from(_CLASS_NAMES), min_size=1, max_size=3).map(",".join)
+
+
+def _caption_classes(argv: list) -> bool:
+    return argv[:2] == ["caption", "--classes"]
+
+
 @st.composite
 def _argv(draw) -> list:
+    if not draw(_MOSTLY):
+        argv = ["caption", "--classes", draw(_VALID_CLASSES)]
+        return argv + (["--out", "out.jsonl"] if draw(st.booleans()) else [])
     command = draw(st.sampled_from(list(_COMMANDS)) if draw(_MOSTLY) else _WORD)
     if command not in _COMMANDS:
         return [command] + draw(st.lists(_WORD, max_size=2))
@@ -297,11 +315,12 @@ def _run(files: dict, argv: list):
         return code, err.getvalue(), (work / "out.jsonl").exists()
 
 
-def _check_contract(files: dict, argv: list) -> None:
-    """Run ``argv`` on ``files`` and check the exit contract."""
+def _check_contract(files: dict, argv: list):
+    """Run ``argv`` on ``files``, check the exit contract and return the
+    exit code."""
     code, err, out_exists = _run(files, argv)
     if code is None:
-        return
+        return code
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), (argv, err)
     if code != EXIT_OK:
         one_line = err.startswith("error: ") and err.count("\n") == 1
@@ -309,12 +328,21 @@ def _check_contract(files: dict, argv: list) -> None:
             line.startswith("error: ") for line in err.splitlines()) <= 1
         assert one_line or usage, (argv, err)
         assert not out_exists, (argv, err)
+    return code
 
 
-@settings(max_examples=200, **_SETTINGS_KW)
-@given(files=_FILES, argv=_argv())
-def test_cli_keeps_exit_contract(files, argv):
-    _check_contract(files, argv)
+def test_cli_keeps_exit_contract():
+    succeeded = []
+
+    @settings(max_examples=200, **_SETTINGS_KW)
+    @given(files=_FILES, argv=_argv())
+    def check(files, argv):
+        if _check_contract(files, argv) == EXIT_OK and _caption_classes(argv):
+            succeeded.append(argv)
+
+    check()
+    # the caption --classes success path was drawn, not only its failures
+    assert len(succeeded) >= 5, succeeded
 
 
 @settings(max_examples=150, **_SETTINGS_KW)
@@ -356,6 +384,38 @@ def test_settings_files_keep_exit_contract(config, params, command, flags):
 def test_csv_reader_keeps_exit_contract(table, command, column):
     _check_contract({"in.csv": table}, [command, "--input", "in.csv", "--window", "16",
                                         "--target-len", "16", *column, "--out", "out.jsonl"])
+
+
+#: A cell that parses and leaves its window to the worker: missing,
+#: non-finite, or one whose window's range overflows float64.
+_WORKER_CELL = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                         st.sampled_from(["", "nan", "inf", "-inf", "1e999", "1e308", "-1e308"]))
+
+
+@st.composite
+def _pooled_csv_text(draw) -> str:
+    """Two numeric columns of 24 to 40 rows, enough windows of 16 at stride
+    1 for at least three chunks; about one cell in ten is odd."""
+    rows = [["a", "b"]] + [[draw(_CELL if draw(_MOSTLY) else _WORKER_CELL) for _ in range(2)]
+                           for _ in range(draw(st.integers(min_value=24, max_value=40)))]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def test_pooled_dataset_keeps_exit_contract():
+    # --jobs 2 on enough windows starts the pool, so what a worker meets in
+    # its chunk (a non-finite window, a range past float64) is fuzzed too
+    succeeded = []
+
+    @settings(max_examples=30, **_SETTINGS_KW)
+    @given(table=_pooled_csv_text())
+    def check(table):
+        argv = ["dataset", "--input", "in.csv", "--window", "16", "--target-len", "16",
+                "--stride", "1", "--jobs", "2", "--out", "out.jsonl"]
+        if _check_contract({"in.csv": table.encode()}, argv) == EXIT_OK:
+            succeeded.append(table)
+
+    check()
+    assert succeeded
 
 
 @settings(max_examples=150, **_SETTINGS_KW)

@@ -11,7 +11,13 @@ Ids, classes, captions, skip reasons and neighbour ids must match exactly;
 scores, MSEs and eval metrics within 1e-12, since BLAS kernels may differ
 between CPUs in the last bits; ``values`` by the sha256 of their JSON text.
 
-A change that alters a pinned value on purpose re-records the file with
+``tests/data/synth_curvature_signs.json`` pins, per seed, the sha256 of
+each record's ``(id, classes, curvature_sign)`` from ``synth --count 600
+--annotate-also``.  About 3% of those signals bend by less than 1e-14, so
+their sign comes from rounding in the fits: a change to how the fits are
+computed shows here first.
+
+A change that alters a pinned value on purpose re-records both files with
 ``PYTHONPATH=src python tests/test_pinned_outputs.py``.
 """
 
@@ -22,10 +28,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from taco.cli import EXIT_OK, main
+from taco.pipeline import iter_forward
 
 PINNED = Path(__file__).parent / "data" / "pinned_outputs.jsonl"
+SIGNS = Path(__file__).parent / "data" / "synth_curvature_signs.json"
+SIGN_SEEDS = (1, 41)
 TOLERANCE = 1e-12
 
 
@@ -113,6 +123,21 @@ def test_pinned_file_covers_each_path():
     assert kinds.count("nearnbr") == kinds.count("dataset") == 8
 
 
+def curvature_sign_digest(seed: int) -> str:
+    """sha256 of ``(id, classes, curvature_sign)`` over ``synth --count 600
+    --annotate-also --seed <seed>``, one JSON line per record."""
+    digest = hashlib.sha256()
+    for record in iter_forward(600, seed, annotate_also=True, include_values=False):
+        line = [record.id, record.classes, record.scores["curvature_sign"]]
+        digest.update((json.dumps(line) + "\n").encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed", SIGN_SEEDS)
+def test_synth_curvature_signs_match_pinned_digest(seed):
+    assert curvature_sign_digest(seed) == json.loads(SIGNS.read_text())[str(seed)]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -121,3 +146,6 @@ if __name__ == "__main__":
     PINNED.parent.mkdir(exist_ok=True)
     PINNED.write_text("".join(json.dumps(row) + "\n" for row in rows))
     print(f"wrote {len(rows)} rows to {PINNED}", file=sys.stderr)
+    SIGNS.write_text(json.dumps({str(seed): curvature_sign_digest(seed)
+                                 for seed in SIGN_SEEDS}, indent=2) + "\n")
+    print(f"wrote {len(SIGN_SEEDS)} digests to {SIGNS}", file=sys.stderr)

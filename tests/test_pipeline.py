@@ -355,13 +355,17 @@ def test_each_annotated_record_is_normalised_once(tmp_path, monkeypatch):
     assert len(calls) == len(records) == 4
 
 
-def _sigint_disposition(item):
-    return signal.getsignal(signal.SIGINT)
+def _sigint_dispositions(chunk):
+    return [signal.getsignal(signal.SIGINT) for _ in chunk]
+
+
+def _absolutes(chunk):
+    return [abs(item) for item in chunk]
 
 
 def test_pool_workers_ignore_ctrl_c():
     # a terminal sends Ctrl-C to idle pool workers too; only the parent acts on it
-    dispositions = _ordered(_sigint_disposition, range(3 * CHUNK_TASKS), jobs=2)
+    dispositions = _ordered(_sigint_dispositions, range(3 * CHUNK_TASKS), jobs=2)
     assert set(dispositions) == {signal.SIG_IGN}
 
 
@@ -376,7 +380,7 @@ def test_pool_forks_where_the_platform_can(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    assert list(_ordered(abs, range(-20, 0), jobs=2)) == list(range(20, 0, -1))
+    assert list(_ordered(_absolutes, range(-20, 0), jobs=2)) == list(range(20, 0, -1))
     if "fork" in multiprocessing.get_all_start_methods():
         assert [context.get_start_method() for context in contexts] == ["fork"]
     else:

@@ -247,11 +247,15 @@ def _uniform_and_tied(n, seed):
     return rng.uniform(size=n), np.round(rng.uniform(size=n) * 3)
 
 
+def _ranked_rows(window):
+    """Windows of int16 ranks the median filter sorts at a time."""
+    return MEDIAN_BLOCK_BYTES // (2 * window)
+
+
 @pytest.mark.parametrize("window", [1, 3, 103])
 def test_median_filter_matches_oracle_across_block_edges(window):
-    # the filter works through blocks of ``rows`` windows; the first block
-    # edge is below the window itself at window 103
-    rows = MEDIAN_BLOCK_BYTES // (8 * window)
+    # the filter works through blocks of ``rows`` windows of ranks
+    rows = _ranked_rows(window)
     edges = [n for n in (rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1)
              if n >= window]
     for n in edges + [5000]:
@@ -266,16 +270,60 @@ def test_median_filter_window_spanning_signal_matches_oracle(n):
 
 
 def test_median_filter_memory_is_bounded():
-    # the whole (2048, 103) window matrix would be about 1.7 MB
-    v = np.random.default_rng(12).uniform(size=2048)
-    median_filter(v, 103)
-    tracemalloc.start()
-    try:
+    # the whole (2048, 103) window matrix would be about 1.7 MB, and 13.5 MB
+    # for a block of 8 such rows; the filter keeps a few arrays the size of
+    # its input beside one MEDIAN_BLOCK_BYTES buffer
+    rng = np.random.default_rng(12)
+    for v, bound in ((rng.uniform(size=2048), 256 * 1024),
+                     (rng.uniform(size=(8, 2048)), 1024 * 1024)):
         median_filter(v, 103)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 1024
+        tracemalloc.start()
+        try:
+            median_filter(v, 103)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, v.shape
+
+
+def _assert_rows_match_oracle(block, window):
+    out = median_filter(block, window)
+    assert out.shape == block.shape
+    for row, filtered in zip(block, out):
+        assert filtered.tolist() == median_filter_oracle(row, window)
+
+
+@pytest.mark.parametrize("n, window", [(16, 3), (17, 17), (300, 15), (2048, 103), (641, 641)])
+def test_median_filter_block_rows_match_oracle(n, window):
+    # rows of uniform, tied and constant values side by side; window == n
+    # makes every window span its whole (padded) row
+    rng = np.random.default_rng(n + window)
+    block = np.array([rng.uniform(size=n), np.round(rng.uniform(size=n) * 3),
+                      np.full(n, 0.25), np.round(rng.uniform(size=n)), rng.uniform(size=n)])
+    _assert_rows_match_oracle(block, window)
+    for row, filtered in zip(block, median_filter(block, window)):
+        assert np.array_equal(median_filter(row, window), filtered)
+
+
+@pytest.mark.parametrize("window", [3, 103])
+def test_median_filter_block_matches_oracle_across_block_edges(window):
+    # the block's padded rows lie end to end in one run of windows: buffer
+    # edges fall at row starts, just before and just after them
+    rows = _ranked_rows(window)
+    for width in (rows - 1, rows, rows + 1, rows // 2):
+        n = width - 2 * (window // 2)
+        if n >= window:
+            rng = np.random.default_rng(width)
+            tied = np.round(rng.uniform(size=(3, n)) * 3)
+            _assert_rows_match_oracle(np.vstack([rng.uniform(size=(3, n)), tied]), window)
+
+
+@pytest.mark.parametrize("n", [32767, 32768, 40001])
+def test_median_filter_long_rows_match_oracle(n):
+    # ranks are int16 up to n = 32767 and int32 past it
+    rng = np.random.default_rng(n)
+    block = np.array([rng.uniform(size=n), np.round(rng.uniform(size=n) * 50)])
+    _assert_rows_match_oracle(block, 5)
 
 
 def test_median_filter_rejects_even_window():
