@@ -13,57 +13,26 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 if not any(var in os.environ for var in _BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
-from .annotator import (
-    Annotation,
-    ThresholdConfig,
-    TimeSeriesClass,
-    annotate,
-    assign_classes,
-    default_config,
-    load_config,
-)
-from .captioner import BASE_CAPTIONS, base_caption, rephrase
-from .detectors import DetectorParams, ScoreVector, score_all
-from .errors import TacoError
-from .pipeline import (
-    DatasetRecord,
-    IngestSpec,
-    build_dataset,
-    build_forward_dataset,
-    read_jsonl,
-    write_jsonl,
-)
-from .signal import NormalizedSeries, Series, minmax_normalize, resample_linear
-from .synth import SynthSpec, forward_caption, generate, sample_spec
+#: Each public name, by the module that defines it.  ``__getattr__`` imports
+#: that module on the name's first use, so ``import taco`` loads no numpy.
+_EXPORTS = {name: module for module, names in {
+    "annotator": "Annotation ThresholdConfig annotate assign_classes default_config load_config",
+    "captioner": "BASE_CAPTIONS TimeSeriesClass base_caption rephrase",
+    "detectors": "DetectorParams ScoreVector score_all",
+    "errors": "TacoError",
+    "pipeline": "DatasetRecord IngestSpec build_dataset build_forward_dataset read_jsonl "
+                "write_jsonl",
+    "signal": "NormalizedSeries Series minmax_normalize resample_linear",
+    "synth": "SynthSpec forward_caption generate sample_spec",
+}.items() for name in names.split()}
 
-__all__ = [
-    "__version__",
-    "Annotation",
-    "BASE_CAPTIONS",
-    "DatasetRecord",
-    "DetectorParams",
-    "IngestSpec",
-    "NormalizedSeries",
-    "ScoreVector",
-    "Series",
-    "SynthSpec",
-    "TacoError",
-    "ThresholdConfig",
-    "TimeSeriesClass",
-    "annotate",
-    "assign_classes",
-    "base_caption",
-    "build_dataset",
-    "build_forward_dataset",
-    "default_config",
-    "forward_caption",
-    "generate",
-    "load_config",
-    "minmax_normalize",
-    "read_jsonl",
-    "rephrase",
-    "resample_linear",
-    "sample_spec",
-    "score_all",
-    "write_jsonl",
-]
+__all__ = ["__version__", *sorted(_EXPORTS)]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value

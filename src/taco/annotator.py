@@ -11,7 +11,6 @@ captions.
 from __future__ import annotations
 
 import contextlib
-import enum
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,46 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .captioner import CLASS_ORDER, TimeSeriesClass, sorted_classes
 from .detectors import SCORE_NAMES, DetectorParams, ScoreVector, _is_real, score_all
 from .errors import InvalidConfig, ParseError
 from .signal import NormalizedSeries, Series, minmax_normalize, signal_block
 
-
-class TimeSeriesClass(enum.Enum):
-    """The 21 descriptive classes, in canonical display order."""
-
-    RISING = "Rising"
-    FALLING = "Falling"
-    CONSTANT = "Constant"
-    CONVEX = "Convex"
-    CONCAVE = "Concave"
-    LINEAR = "Linear"
-    NONLINEAR = "Nonlinear"
-    SMOOTH = "Smooth"
-    NOISY = "Noisy"
-    SIMPLE = "Simple"
-    COMPLEX = "Complex"
-    SPIKY = "Spiky"
-    DROPOUT = "Dropout"
-    PERIODIC = "Periodic"
-    APERIODIC = "Aperiodic"
-    SYMMETRY = "Symmetry"
-    ASYMMETRY = "Asymmetry"
-    STEP = "Step"
-    NOSTEP = "NoStep"
-    HIGH_AMPLITUDE = "HighAmplitude"
-    LOW_AMPLITUDE = "LowAmplitude"
-
-    @classmethod
-    def from_name(cls, name: str) -> "TimeSeriesClass":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise InvalidConfig(f"unknown time-series class: {name!r}")
-
-
-#: Canonical ordering index, used to sort class sets for display and JSON.
-CLASS_ORDER = {member: i for i, member in enumerate(TimeSeriesClass)}
 
 #: Pairs of which at most one class may be assigned.
 EXCLUSIVITY_GROUPS = (
@@ -271,11 +235,6 @@ def assign_classes(scores: ScoreVector, cfg: ThresholdConfig) -> set[TimeSeriesC
     if TimeSeriesClass.CONSTANT in assigned:
         assigned -= CONSTANT_EXCLUDES
     return assigned
-
-
-def sorted_classes(classes) -> list[TimeSeriesClass]:
-    """Classes in canonical display order."""
-    return sorted(classes, key=lambda c: CLASS_ORDER[c])
 
 
 def class_names(classes) -> list[str]:

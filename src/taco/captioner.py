@@ -1,4 +1,5 @@
-"""Base captions for class sets, plus optional LLM rephrasing over HTTP.
+"""The descriptive class names and their base captions, plus optional LLM
+rephrasing over HTTP.
 
 Each class owns one fixed template sentence; a caption is the concatenation
 of the templates for the assigned classes in canonical order.  Rephrasing is
@@ -8,11 +9,55 @@ pipeline falls back to the base caption whenever the service is unavailable.
 
 from __future__ import annotations
 
+import enum
 import json
 import os
+import time
 
-from .annotator import TimeSeriesClass, sorted_classes
-from .errors import EmptyCompletion, ProtocolError, Unavailable
+from .errors import EmptyCompletion, InvalidConfig, ProtocolError, Unavailable
+
+
+class TimeSeriesClass(enum.Enum):
+    """The 21 descriptive classes, in canonical display order."""
+
+    RISING = "Rising"
+    FALLING = "Falling"
+    CONSTANT = "Constant"
+    CONVEX = "Convex"
+    CONCAVE = "Concave"
+    LINEAR = "Linear"
+    NONLINEAR = "Nonlinear"
+    SMOOTH = "Smooth"
+    NOISY = "Noisy"
+    SIMPLE = "Simple"
+    COMPLEX = "Complex"
+    SPIKY = "Spiky"
+    DROPOUT = "Dropout"
+    PERIODIC = "Periodic"
+    APERIODIC = "Aperiodic"
+    SYMMETRY = "Symmetry"
+    ASYMMETRY = "Asymmetry"
+    STEP = "Step"
+    NOSTEP = "NoStep"
+    HIGH_AMPLITUDE = "HighAmplitude"
+    LOW_AMPLITUDE = "LowAmplitude"
+
+    @classmethod
+    def from_name(cls, name: str) -> "TimeSeriesClass":
+        for member in cls:
+            if member.value == name:
+                return member
+        raise InvalidConfig(f"unknown time-series class: {name!r}")
+
+
+#: Canonical ordering index, used to sort class sets for display and JSON.
+CLASS_ORDER = {member: i for i, member in enumerate(TimeSeriesClass)}
+
+
+def sorted_classes(classes) -> list[TimeSeriesClass]:
+    """Classes in canonical display order."""
+    return sorted(classes, key=lambda c: CLASS_ORDER[c])
+
 
 #: One template sentence per class.  Rising and Smooth are the reference
 #: wordings; the rest follow the same surface pattern.
@@ -55,7 +100,8 @@ MODEL_ENV = "TACO_LLM_MODEL"
 #: Default cap on concurrent rephrase calls.
 DEFAULT_IN_FLIGHT = 4
 
-#: Seconds one rephrase call may take before it counts as unavailable.
+#: Seconds one rephrase call may take before it counts as unavailable: the
+#: socket timeout of each operation, and the deadline for the whole reply.
 REPHRASE_TIMEOUT_S = 30.0
 
 #: Largest reply body a rephrase call accepts, in bytes; a completion of one
@@ -113,10 +159,11 @@ def rephrase(text: str, endpoint: str | None = None, model: str | None = None) -
 
     The request pins temperature 0 and seed 0 so endpoints that honor them
     produce repeatable output.  Raises :class:`Unavailable` on a missing or
-    bad URL, a network error, a timeout or a non-2xx reply (callers fall back
-    to the base text), :class:`ProtocolError` on a malformed, too deeply
-    nested or over-long body and :class:`EmptyCompletion` on an empty
-    completion.
+    bad URL, a network error, a timeout, a reply still arriving
+    :data:`REPHRASE_TIMEOUT_S` after the call began or a non-2xx reply
+    (callers fall back to the base text), :class:`ProtocolError` on a
+    malformed, too deeply nested or over-long body and
+    :class:`EmptyCompletion` on an empty completion.
     """
     # imported here so that commands which never rephrase never load HTTP
     import http.client
@@ -132,12 +179,17 @@ def rephrase(text: str, endpoint: str | None = None, model: str | None = None) -
         "temperature": 0,
         "seed": 0,
     }
+    deadline = time.monotonic() + REPHRASE_TIMEOUT_S
     try:
         request = urllib.request.Request(
             endpoint, data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json"}, method="POST")
         with urllib.request.urlopen(request, timeout=REPHRASE_TIMEOUT_S) as response:
-            raw = response.read(MAX_REPLY_BYTES + 1)
+            raw = bytearray()
+            while chunk := response.read1(MAX_REPLY_BYTES + 1 - len(raw)):
+                raw += chunk
+                if time.monotonic() > deadline:
+                    raise Unavailable(f"rephrase reply took over {REPHRASE_TIMEOUT_S} s")
     except (OSError, http.client.HTTPException, ValueError) as exc:
         raise Unavailable(f"rephrase endpoint failed: {exc}") from exc
     if len(raw) > MAX_REPLY_BYTES:

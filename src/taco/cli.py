@@ -2,7 +2,8 @@
 
 Subcommands: annotate, caption, synth, dataset, nearnbr, eval.  This module
 only parses flags and wires library calls together; no numeric logic lives
-here.
+here.  Each command imports the modules it runs, so starting the CLI, and
+``--help``, ``--version`` or a usage error, loads no numpy.
 
 Each ``_cmd_*`` checks its flags and loads its settings, index or report at
 once, then returns a generator of output lines.  :func:`main` alone writes
@@ -18,37 +19,17 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
-from .annotator import DetectorParams, TimeSeriesClass, load_config, load_json
-from .captioner import DEFAULT_IN_FLIGHT, base_caption, rephrase, resolve_endpoint
-from .errors import InvalidArgument, ServiceError, TacoError, Unavailable
-from .evalkit import evaluate_corpus, iter_nearnbr, load_index, report_to_json
-from .pipeline import (
-    IngestSpec,
-    encode_record,
-    in_order,
-    iter_dataset,
-    iter_forward,
-    iter_jsonl,
-    write_jsonl,
-    written_in_place,
-)
-from .signal import MIN_SERIES_LEN
-from .synth import OVERLAY_NAMES, SHAPE_NAMES
+from .captioner import (DEFAULT_IN_FLIGHT, TimeSeriesClass, base_caption, rephrase,
+                        resolve_endpoint)
+from .errors import MIN_SERIES_LEN, InvalidArgument, ServiceError, TacoError, Unavailable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SERVICE = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
-
-
-#: Forward shape and overlay names that synth records list among their classes
-#: and that name no time-series class; ``caption --input`` skips them.
-_FORWARD_ONLY_NAMES = (frozenset(SHAPE_NAMES + OVERLAY_NAMES)
-                       - {member.value for member in TimeSeriesClass})
 
 
 class _UsageError(Exception):
@@ -76,6 +57,8 @@ def _int_at_least(minimum: int):
 
 
 def _load_params(path: str | None) -> DetectorParams:
+    from .annotator import DetectorParams, load_json
+
     if path is None:
         return DetectorParams()
     return DetectorParams.from_json_dict(load_json(path, InvalidArgument))
@@ -95,6 +78,8 @@ def _window_lines(lines, skips: list, skip_path: str | None):
     """
     yield from lines
     if skip_path:
+        from .pipeline import write_jsonl
+
         write_jsonl(skips, skip_path)
         if skips:
             print(f"{len(skips)} window(s) skipped, reasons in {skip_path}",
@@ -151,6 +136,8 @@ def _rephrased(items, caption_of, args, in_flight: int):
         return
     from concurrent.futures import ThreadPoolExecutor  # loaded only to rephrase
 
+    from .pipeline import in_order
+
     def attempt(item):
         try:
             return item, rephrase(caption_of(item), endpoint, args.model)
@@ -170,6 +157,8 @@ def _rephrased(items, caption_of, args, in_flight: int):
 
 
 def _ingest_spec(args) -> IngestSpec:
+    from .pipeline import IngestSpec
+
     if args.target_len < args.window:
         raise _UsageError(
             f"--target-len {args.target_len} must be at least --window {args.window}")
@@ -185,12 +174,17 @@ def _ingest_spec(args) -> IngestSpec:
 def _annotate_line(record) -> str:
     """An annotate row: the dataset record's classes and scores, its config
     digest named ``params_digest``."""
+    from .pipeline import encode_record
+
     data = record.to_json_dict()
     return encode_record({key: data[key] for key in ("id", "source", "classes", "scores")}
                          | {"params_digest": data["config_digest"]})
 
 
 def _cmd_annotate(args):
+    from .annotator import load_config
+    from .pipeline import iter_dataset
+
     params = _load_params(args.params)
     cfg = load_config(args.config)
     skips: list = []
@@ -209,9 +203,16 @@ def _cmd_caption(args):
         if args.rephrase:
             text = rephrase(text, endpoint=args.endpoint, model=args.model)
         return _lines(text)
+    from .pipeline import iter_jsonl
+    from .synth import OVERLAY_NAMES, SHAPE_NAMES
+
+    # forward shape and overlay names, which synth records list among their
+    # classes, name no time-series class and are skipped
+    forward_only = (frozenset(SHAPE_NAMES + OVERLAY_NAMES)
+                    - {member.value for member in TimeSeriesClass})
     rows = ({"id": record.id,
              "caption_base": base_caption({TimeSeriesClass.from_name(n) for n in record.classes
-                                           if n not in _FORWARD_ONLY_NAMES})}
+                                           if n not in forward_only})}
             for record in iter_jsonl(args.input))
     if args.rephrase:
         rows = (row | {"caption_rephrased": new} for row, new in
@@ -220,6 +221,9 @@ def _cmd_caption(args):
 
 
 def _cmd_synth(args):
+    from .annotator import load_config
+    from .pipeline import encode_record, iter_forward
+
     if args.annotate_also and args.length < MIN_SERIES_LEN:
         raise _UsageError(f"--annotate-also needs --length of at least {MIN_SERIES_LEN}, "
                           f"got {args.length}")
@@ -241,6 +245,11 @@ def _cmd_synth(args):
 
 
 def _cmd_dataset(args):
+    from dataclasses import replace
+
+    from .annotator import load_config
+    from .pipeline import encode_record, iter_dataset, written_in_place
+
     if (args.skip_log and args.out
             and os.path.realpath(args.skip_log) == os.path.realpath(args.out)):
         raise _UsageError("--skip-log must not name the --out file")
@@ -264,6 +273,8 @@ def _cmd_dataset(args):
 
 
 def _cmd_nearnbr(args):
+    from .evalkit import iter_nearnbr, load_index
+
     index = load_index(args.index)
     return ({"id": query_id, "caption_base": caption, "neighbor_id": neighbor_id,
              "mse": mse}
@@ -271,6 +282,8 @@ def _cmd_nearnbr(args):
 
 
 def _cmd_eval(args):
+    from .evalkit import evaluate_corpus, report_to_json
+
     return _lines(report_to_json(evaluate_corpus(args.candidates, args.references)))
 
 
@@ -349,6 +362,8 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
+        from .pipeline import write_jsonl
+
         # closing the lines ends what they run, a --jobs pool or rephrase
         # threads, however the write ends
         with contextlib.closing(args.func(args)) as lines:

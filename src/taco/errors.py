@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the length bound below
+which a signal is :class:`TooShort`.
 
 Every error raised by the library derives from :class:`TacoError` so callers
 can catch one base class at pipeline boundaries.  The CLI maps these onto its
@@ -14,8 +15,13 @@ class InvalidSignal(TacoError):
     """Input signal violates basic invariants (non-finite values, too short)."""
 
 
+#: Minimum length accepted at detector entry points: every score procedure
+#: needs at least 2 samples per segment at the smallest usable segmentation.
+MIN_SERIES_LEN = 16
+
+
 class TooShort(InvalidSignal):
-    """Signal is too short for the requested segmentation or detector."""
+    """Signal is shorter than :data:`MIN_SERIES_LEN` or than its segmentation needs."""
 
 
 class InvalidArgument(TacoError, ValueError):

@@ -14,11 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import Degenerate, InvalidArgument, InvalidSignal, TooShort
-
-#: Minimum length accepted at detector entry points: every score procedure
-#: needs at least 2 samples per segment at the smallest usable segmentation.
-MIN_SERIES_LEN = 16
+from .errors import MIN_SERIES_LEN, Degenerate, InvalidArgument, InvalidSignal, TooShort
 
 #: Largest scratch block, in bytes, that :func:`median_filter` copies windows
 #: of ranks into at once; small enough to stay in cache and never page-fault.

@@ -16,8 +16,10 @@ class MockLLMHandler(BaseHTTPRequestHandler):
     40 ms that depends on the caption's length, or HTTP 500 for a caption in
     ``server.failing``), text-field, empty, missing, status-500 (a JSON error
     body with HTTP 500), not-json (a 200 whose body is not JSON), deep (a 200
-    whose body is 100,000 ``[`` then 100,000 ``]``) and slow (the echo reply
-    after a 0.6 s pause).  ``server.peak`` is the most requests
+    whose body is 100,000 ``[`` then 100,000 ``]``), slow (the echo reply
+    after a 0.6 s pause) and trickle (the echo reply behind 40 spaces, its
+    headers at once and its body one byte every 50 ms, about 5 s in all).
+    ``server.peak`` is the most requests
     in progress at once, each counted until its reply is sent.
     """
 
@@ -40,14 +42,24 @@ class MockLLMHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
-        self.wfile.write(payload)
+        if self.server.mode != "trickle":
+            self.wfile.write(payload)
+            return
+        try:
+            for byte in payload:
+                self.wfile.write(bytes([byte]))
+                time.sleep(0.05)
+        except OSError:  # the client gave up and closed the connection
+            pass
 
     def _reply(self, content):
         status = 200
         if self.server.mode == "slow":
             time.sleep(0.6)
-        if self.server.mode in ("echo", "slow"):
+        if self.server.mode in ("echo", "slow", "trickle"):
             body = {"choices": [{"message": {"content": self.fixed_reply}}]}
+            if self.server.mode == "trickle":
+                body = " " * 40 + json.dumps(body)
         elif self.server.mode == "tag":
             caption = content.split("\n", 1)[1]
             time.sleep(0.02 * (len(caption) % 3))

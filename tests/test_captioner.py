@@ -3,17 +3,18 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import taco
 import taco.captioner
 
-from taco.annotator import TimeSeriesClass
 from taco.captioner import (
     BASE_CAPTIONS,
     NO_SALIENT_CAPTION,
     REPHRASE_INSTRUCTION,
+    TimeSeriesClass,
     base_caption,
     classes_from_caption,
     rephrase,
@@ -126,6 +127,18 @@ def test_rephrase_error_mapping(mode, endpoint, error, mock_endpoint, monkeypatc
     monkeypatch.setattr(taco.captioner, "REPHRASE_TIMEOUT_S", 0.2)
     with pytest.raises(error):
         rephrase("x", endpoint=endpoint or url, model="m")
+
+
+def test_rephrase_deadline_bounds_a_trickled_reply(mock_endpoint, monkeypatch):
+    # each byte arrives well inside the socket timeout, so only a deadline on
+    # the whole reply ends the call before the body's 5 s are up
+    server, url = mock_endpoint
+    server.mode = "trickle"
+    monkeypatch.setattr(taco.captioner, "REPHRASE_TIMEOUT_S", 0.5)
+    start = time.monotonic()
+    with pytest.raises(Unavailable, match="took over 0.5 s"):
+        rephrase("x", endpoint=url, model="m")
+    assert time.monotonic() - start < 1.5
 
 
 def test_rephrase_rejects_over_long_reply(mock_endpoint, monkeypatch):

@@ -902,6 +902,52 @@ def test_cli_import_loads_no_pool_logging_or_hash_modules():
     assert result.stdout.strip() == "[]"
 
 
+#: What a launch that runs no command must not load.
+NUMERIC_MODULES = ("numpy", "taco.signal", "taco.detectors", "taco.annotator",
+                   "taco.pipeline", "taco.synth", "taco.evalkit")
+
+
+@pytest.mark.parametrize("statement", [
+    "import taco",
+    "import taco.cli",
+    "import taco.cli; taco.cli.main(['--version'])",
+    "import taco.cli; taco.cli.main(['--help'])",
+    "import taco.cli; taco.cli.main(['dataset', '--window', 'x'])",
+    "import taco.cli; taco.cli.main([])",
+], ids=["import-taco", "import-cli", "version", "help", "usage-error", "no-command"])
+def test_launch_without_a_command_loads_no_numeric_module(statement):
+    # each command imports the modules it runs, so starting the CLI pays for
+    # neither numpy nor the numeric taco modules
+    probe = ("import contextlib, io, sys\n"
+             "with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):\n"
+             f"    {statement}\n"
+             f"print([m for m in {NUMERIC_MODULES!r} if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], env=_taco_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+#: ``taco.__all__`` as it stood when every public name was imported eagerly.
+PUBLIC_NAMES = [
+    "__version__", "Annotation", "BASE_CAPTIONS", "DatasetRecord", "DetectorParams",
+    "IngestSpec", "NormalizedSeries", "ScoreVector", "Series", "SynthSpec", "TacoError",
+    "ThresholdConfig", "TimeSeriesClass", "annotate", "assign_classes", "base_caption",
+    "build_dataset", "build_forward_dataset", "default_config", "forward_caption",
+    "generate", "load_config", "minmax_normalize", "read_jsonl", "rephrase",
+    "resample_linear", "sample_spec", "score_all", "write_jsonl",
+]
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    assert taco.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES[1:]:
+        value = getattr(taco, name)
+        home = sys.modules[getattr(value, "__module__", "taco.captioner")]  # BASE_CAPTIONS
+        assert getattr(home, name) is value, name
+    assert not hasattr(taco, "no_such_name")
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -914,8 +960,9 @@ def _blas_env(**blas) -> dict:
 @pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="needs /proc/self/task")
 def test_taco_runs_blas_on_one_thread_unless_the_caller_sets_it():
     # taco's parallelism is its worker processes; a BLAS thread pool in each
-    # process only adds a thread that spins beside it
-    probe = ("import os, taco.cli; print(len(os.listdir('/proc/self/task')), "
+    # process only adds a thread that spins beside it.  numpy, which starts
+    # the BLAS threads, loads after taco.cli, as a command loads it
+    probe = ("import os, taco.cli, numpy; print(len(os.listdir('/proc/self/task')), "
              f"*map(os.environ.get, {BLAS_THREAD_VARS!r}))")
 
     def run(env):

@@ -18,11 +18,12 @@ flags to the readers' own checks.  Whatever the input, the run must
 ``--rephrase`` is never generated and ``TACO_LLM_ENDPOINT`` is cleared, so
 no run reaches the network.  Window, target and synth lengths stay small,
 so each run takes milliseconds.  One argv in ten is ``caption --classes``
-with valid class names and no ``--input``, a run that can succeed, which
-the general draw almost never reaches.  About one ``dataset`` draw in ten
-takes ``--jobs 2``, and one test runs ``dataset --jobs 2`` on CSVs long
-enough for the process pool to start, so what a worker meets in its chunk
-is drawn too.
+with valid class names and no ``--input``, and about one in eleven is
+``dataset`` with default settings on a clean CSV, at ``--jobs`` 1 or 2:
+runs that can succeed, which the general draw almost never reaches.  About
+one other ``dataset`` draw in ten takes ``--jobs 2``, and one test runs
+``dataset --jobs 2`` on CSVs long enough for the process pool to start, so
+what a worker meets in its chunk is drawn too.
 """
 
 import contextlib
@@ -193,8 +194,12 @@ def _content(text):
                            if well_formed else st.binary(max_size=64))
 
 
+#: A clean two-column CSV, so that runs reach the detectors.
+_CLEAN_CSV = ("a,b\n" + "".join(f"{i % 7}.5,{i * i}\n" for i in range(40))).encode()
+
 _FILES = st.fixed_dictionaries({
     "in.csv": _content(_csv_text()),
+    "clean.csv": st.just(_CLEAN_CSV),
     "params.json": _content(_params().map(_encode)),
     "config.json": _content(_config().map(_encode)),
     "a.jsonl": _content(_jsonl_text()),
@@ -207,7 +212,8 @@ _FILES = st.fixed_dictionaries({
 
 #: File names argv may hold; each becomes a path in the run's directory.
 #: Those after ``_PATHS`` are only ever written.
-_NAMES = ("in.csv", "params.json", "config.json", "a.jsonl", "b.jsonl", "missing.csv",
+_NAMES = ("in.csv", "clean.csv", "params.json", "config.json", "a.jsonl", "b.jsonl",
+          "missing.csv",
           ".", "out.jsonl", "skips.jsonl", "missing/skips.jsonl", "missing/out.jsonl")
 _PATHS = _NAMES[:-3]
 _ANY_PATH = st.sampled_from(_PATHS)
@@ -261,8 +267,14 @@ def _caption_classes(argv: list) -> bool:
 
 @st.composite
 def _argv(draw) -> list:
-    if not draw(_MOSTLY):
+    kind = draw(st.sampled_from(["any"] * 8 + ["caption --classes", "clean dataset"]))
+    if kind == "caption --classes":
         argv = ["caption", "--classes", draw(_VALID_CLASSES)]
+        return argv + (["--out", "out.jsonl"] if draw(st.booleans()) else [])
+    if kind == "clean dataset":  # 25 windows at stride 1, so --jobs 2 starts the pool
+        argv = ["dataset", "--input", "clean.csv", "--window", "16", "--target-len", "16",
+                "--stride", draw(st.sampled_from(["1", "16"])),
+                "--jobs", draw(st.sampled_from(["2", "1"]))]
         return argv + (["--out", "out.jsonl"] if draw(st.booleans()) else [])
     command = draw(st.sampled_from(list(_COMMANDS)) if draw(_MOSTLY) else _WORD)
     if command not in _COMMANDS:
@@ -337,12 +349,16 @@ def test_cli_keeps_exit_contract():
     @settings(max_examples=200, **_SETTINGS_KW)
     @given(files=_FILES, argv=_argv())
     def check(files, argv):
-        if _check_contract(files, argv) == EXIT_OK and _caption_classes(argv):
+        if _check_contract(files, argv) == EXIT_OK:
             succeeded.append(argv)
 
     check()
-    # the caption --classes success path was drawn, not only its failures
-    assert len(succeeded) >= 5, succeeded
+    # the caption --classes and dataset success paths were drawn, not only
+    # their failures, and some dataset runs started the pool
+    assert sum(map(_caption_classes, succeeded)) >= 5, succeeded
+    datasets = [argv for argv in succeeded if argv[0] == "dataset"]
+    assert len(datasets) >= 5, succeeded
+    assert any(" --stride 1 --jobs 2" in " ".join(argv) for argv in datasets), datasets
 
 
 @settings(max_examples=150, **_SETTINGS_KW)
@@ -358,10 +374,6 @@ def test_unwritable_out_changes_no_failure(files, argv):
     unwritable_code, unwritable_err, _ = _run(files, unwritable + ["--out", "missing/out.jsonl"])
     assert unwritable_code == (EXIT_DATA if code == EXIT_OK else code), (
         argv, err, unwritable_err)
-
-
-#: A clean two-column CSV, so that runs reach the detectors.
-_CLEAN_CSV = ("a,b\n" + "".join(f"{i % 7}.5,{i * i}\n" for i in range(40))).encode()
 
 
 @settings(max_examples=150, **_SETTINGS_KW)

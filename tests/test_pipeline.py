@@ -16,6 +16,7 @@ import taco.annotator
 import taco.pipeline
 from taco.captioner import BASE_CAPTIONS, NO_SALIENT_CAPTION, classes_from_caption
 from taco.annotator import TimeSeriesClass, config_digest, default_config
+from taco.cli import main
 from taco.detectors import DetectorParams
 from taco.errors import InvalidArgument, ParseError
 from taco.pipeline import (
@@ -385,6 +386,34 @@ def test_pool_forks_where_the_platform_can(monkeypatch):
         assert [context.get_start_method() for context in contexts] == ["fork"]
     else:
         assert contexts == [None]
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pooled_dataset_bytes_match_under_every_start_method(method, tmp_path, monkeypatch):
+    # whichever start method the pool gets (Python 3.14 changes the default),
+    # --jobs 2 writes the bytes --jobs 1 writes, records and skip sidecar alike
+    contexts = []
+
+    class Started(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+            contexts.append(multiprocessing.get_context(method))
+            super().__init__(max_workers, contexts[-1], initializer, initargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Started)
+    t = np.arange(1100.0)
+    b = np.cos(t / 17.0) + t / 900.0
+    b[500] = np.inf  # skips the windows that hold row 500
+    path = tmp_path / "x.csv"
+    write_csv(path, {"a": list(np.sin(t / 23.0)), "b": list(b)})
+    outputs = []
+    for jobs in ("1", "2"):  # 2 columns of 33 windows: 9 chunks
+        out = tmp_path / f"jobs{jobs}.jsonl"
+        assert main(["dataset", "--input", str(path), "--window", "64", "--stride", "32",
+                     "--target-len", "128", "--jobs", jobs, "--out", str(out)]) == 0
+        outputs.append([out.read_bytes(), (tmp_path / f"{out.name}.skipped.jsonl").read_bytes()])
+    assert [context.get_start_method() for context in contexts] == [method]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"\n") == 2
 
 
 def test_in_order_yields_in_item_order_at_most_ahead():
