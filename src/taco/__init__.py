@@ -20,8 +20,8 @@ _EXPORTS = {name: module for module, names in {
     "captioner": "BASE_CAPTIONS TimeSeriesClass base_caption rephrase",
     "detectors": "DetectorParams ScoreVector score_all",
     "errors": "TacoError",
-    "pipeline": "DatasetRecord IngestSpec build_dataset build_forward_dataset read_jsonl "
-                "write_jsonl",
+    "pipeline": "IngestSpec build_dataset build_forward_dataset",
+    "records": "DatasetRecord read_jsonl write_jsonl",
     "signal": "NormalizedSeries Series minmax_normalize resample_linear",
     "synth": "SynthSpec forward_caption generate sample_spec",
 }.items() for name in names.split()}

@@ -10,7 +10,6 @@ captions.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,7 +19,8 @@ import numpy as np
 
 from .captioner import CLASS_ORDER, TimeSeriesClass, sorted_classes
 from .detectors import SCORE_NAMES, DetectorParams, ScoreVector, _is_real, score_all
-from .errors import InvalidConfig, ParseError
+from .errors import InvalidConfig
+from .records import load_json
 from .signal import NormalizedSeries, Series, minmax_normalize, signal_block
 
 
@@ -149,44 +149,6 @@ class ThresholdConfig:
 
 def default_config() -> ThresholdConfig:
     return ThresholdConfig(rules=dict(DEFAULT_RULES))
-
-
-def _reject_constant(token: str):
-    raise ValueError(f"{token} is not a finite JSON number")
-
-
-#: The one JSON decoder for input files; it refuses ``NaN`` and ``Infinity``.
-STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
-#: :data:`STRICT_DECODER` for readers that use no float: each float becomes
-#: the length of its token, far cheaper than parsing it.  That int fails a
-#: string field's check just as the float did; ``parse_float=str`` would let
-#: a float id pass as a string.
-FLOATLESS_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=len)
-
-
-@contextlib.contextmanager
-def opened(path, error=ParseError, newline=None):
-    """Open input file ``path`` as UTF-8 text, less a leading byte order mark; an
-    ``OSError`` or ``UnicodeDecodeError`` in the ``with`` body becomes ``error``."""
-    try:
-        with open(path, encoding="utf-8-sig", newline=newline) as handle:
-            yield handle
-    except UnicodeDecodeError as exc:  # its offsets count within a chunk, not the file
-        raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
-
-
-def load_json(path, error):
-    """The JSON document in file ``path``; a file :func:`opened` refuses, or
-    one that :data:`STRICT_DECODER` cannot decode, raises ``error``."""
-    with opened(path, error) as handle:
-        text = handle.read()
-    try:
-        return STRICT_DECODER.decode(text)
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise error(f"{path} is not valid JSON: {exc}") from None
 
 
 def load_config(path: str | Path | None = None) -> ThresholdConfig:

@@ -3,7 +3,8 @@
 Subcommands: annotate, caption, synth, dataset, nearnbr, eval.  This module
 only parses flags and wires library calls together; no numeric logic lives
 here.  Each command imports the modules it runs, so starting the CLI, and
-``--help``, ``--version`` or a usage error, loads no numpy.
+``--help``, ``--version``, a usage error, ``caption --classes`` or ``eval``,
+loads no numpy.
 
 Each ``_cmd_*`` checks its flags and loads its settings, index or report at
 once, then returns a generator of output lines.  :func:`main` alone writes
@@ -57,7 +58,8 @@ def _int_at_least(minimum: int):
 
 
 def _load_params(path: str | None) -> DetectorParams:
-    from .annotator import DetectorParams, load_json
+    from .detectors import DetectorParams
+    from .records import load_json
 
     if path is None:
         return DetectorParams()
@@ -78,7 +80,7 @@ def _window_lines(lines, skips: list, skip_path: str | None):
     """
     yield from lines
     if skip_path:
-        from .pipeline import write_jsonl
+        from .records import write_jsonl
 
         write_jsonl(skips, skip_path)
         if skips:
@@ -174,7 +176,7 @@ def _ingest_spec(args) -> IngestSpec:
 def _annotate_line(record) -> str:
     """An annotate row: the dataset record's classes and scores, its config
     digest named ``params_digest``."""
-    from .pipeline import encode_record
+    from .records import encode_record
 
     data = record.to_json_dict()
     return encode_record({key: data[key] for key in ("id", "source", "classes", "scores")}
@@ -203,7 +205,7 @@ def _cmd_caption(args):
         if args.rephrase:
             text = rephrase(text, endpoint=args.endpoint, model=args.model)
         return _lines(text)
-    from .pipeline import iter_jsonl
+    from .records import iter_jsonl
     from .synth import OVERLAY_NAMES, SHAPE_NAMES
 
     # forward shape and overlay names, which synth records list among their
@@ -222,7 +224,8 @@ def _cmd_caption(args):
 
 def _cmd_synth(args):
     from .annotator import load_config
-    from .pipeline import encode_record, iter_forward
+    from .pipeline import iter_forward
+    from .records import encode_record
 
     if args.annotate_also and args.length < MIN_SERIES_LEN:
         raise _UsageError(f"--annotate-also needs --length of at least {MIN_SERIES_LEN}, "
@@ -248,7 +251,8 @@ def _cmd_dataset(args):
     from dataclasses import replace
 
     from .annotator import load_config
-    from .pipeline import encode_record, iter_dataset, written_in_place
+    from .pipeline import iter_dataset
+    from .records import encode_record, written_in_place
 
     if (args.skip_log and args.out
             and os.path.realpath(args.skip_log) == os.path.realpath(args.out)):
@@ -362,7 +366,7 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        from .pipeline import write_jsonl
+        from .records import write_jsonl
 
         # closing the lines ends what they run, a --jobs pool or rephrase
         # threads, however the write ends

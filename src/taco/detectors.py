@@ -265,9 +265,18 @@ def score_complexity(s, p: DetectorParams) -> float:
     return _mean_pairwise_w1(_segments(np.diff(_row(s), axis=1), p))[0]
 
 
+def _median(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=-1)`` of finite values, bit for bit: numpy's own
+    steps, the mean of the middle one or two values after a partition, less
+    the NaN check, which loads ``numpy.ma`` in every process that scores."""
+    half = a.shape[-1] // 2
+    low = half - 1 + a.shape[-1] % 2
+    return np.partition(a, (low, half), axis=-1)[..., low:half + 1].mean(axis=-1)
+
+
 def _spikes(segs: np.ndarray, filtered: np.ndarray, p: DetectorParams) -> tuple[list, list]:
     offset = p.spike_sigma * filtered.std(axis=1, keepdims=True)
-    med = np.median(segs, axis=-1)
+    med = _median(segs)
     up = segs.max(axis=-1) - (med + offset)
     down = (med - offset) - segs.min(axis=-1)
     return up.max(axis=1).tolist(), down.max(axis=1).tolist()

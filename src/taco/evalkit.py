@@ -7,6 +7,8 @@ index, and only the entries the screen cannot rule out are scored exactly.
 BLEU (clipped n-gram precision with brevity penalty) and ROUGE-L (LCS-based
 F-measure) are computed on lowercase whitespace tokens with punctuation
 stripped; corpus BLEU pools counts across pairs, ROUGE-L is averaged.
+
+Only the retrieval functions import numpy, so ``eval`` loads none.
 """
 
 from __future__ import annotations
@@ -14,16 +16,15 @@ from __future__ import annotations
 import json
 import math
 import string
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
-import numpy as np
-
-from .annotator import FLOATLESS_DECODER
 from .errors import AlignmentError, EmptyIndex, InvalidArgument, ParseError, TacoError
-from .pipeline import iter_jsonl
-from .signal import signal_values
+from .records import FLOATLESS_DECODER, iter_jsonl
 
 #: Metric keys reserved in reports for scores computed by external tools.
 EXTERNAL_METRIC_KEYS = ("meteor", "cider", "spice", "bertscore", "sentence_bert")
@@ -40,7 +41,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
 def _clipped_matches(candidate: list[str], references: list[list[str]],
@@ -63,17 +64,12 @@ def _closest_ref_len(cand_len: int, references: list[list[str]]) -> int:
     return min((abs(len(r) - cand_len), len(r)) for r in references)[1]
 
 
-def corpus_bleu(pairs, n: int) -> float:
-    """Corpus BLEU with uniform weights over orders 1..n.
-
-    ``pairs`` is an iterable of ``(candidate_tokens, [reference_tokens, ...])``.
-    N-gram matches and lengths are pooled over the corpus before the
-    geometric mean and brevity penalty are applied; any order with zero
-    matches drives the score to 0 (no smoothing).
-    """
+def _pooled_counts(pairs, n: int) -> tuple:
+    """``(matched, totals, candidate length, reference length)`` pooled over
+    ``pairs``: clipped n-gram matches and candidate n-gram counts per order
+    1..n, and the candidate and closest reference lengths."""
     if n < 1:
         raise InvalidArgument(f"n must be >= 1, got {n}")
-    pairs = list(pairs)
     matched = [0] * n
     totals = [0] * n
     cand_len = 0
@@ -87,15 +83,32 @@ def corpus_bleu(pairs, n: int) -> float:
             m, t = _clipped_matches(candidate, references, order)
             matched[order - 1] += m
             totals[order - 1] += t
+    return matched, totals, cand_len, ref_len
+
+
+def _bleu(counts: tuple, n: int) -> float:
+    """BLEU over orders 1..n of :func:`_pooled_counts` for n or more orders."""
+    matched, totals, cand_len, ref_len = counts
     if cand_len == 0:
         return 0.0
     log_sum = 0.0
-    for m, t in zip(matched, totals):
+    for m, t in zip(matched[:n], totals[:n]):
         if m == 0 or t == 0:
             return 0.0
         log_sum += math.log(m / t)
     brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
     return brevity * math.exp(log_sum / n)
+
+
+def corpus_bleu(pairs, n: int) -> float:
+    """Corpus BLEU with uniform weights over orders 1..n.
+
+    ``pairs`` is an iterable of ``(candidate_tokens, [reference_tokens, ...])``.
+    N-gram matches and lengths are pooled over the corpus before the
+    geometric mean and brevity penalty are applied; any order with zero
+    matches drives the score to 0 (no smoothing).
+    """
+    return _bleu(_pooled_counts(pairs, n), n)
 
 
 def bleu_n(candidate: str, references, n: int) -> float:
@@ -121,8 +134,10 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
 
 def rouge_l(candidate: str, reference: str) -> float:
     """ROUGE-L F-measure on word tokens (recall-weighted, beta = 1.2)."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+    return _rouge_l_tokens(tokenize(candidate), tokenize(reference))
+
+
+def _rouge_l_tokens(cand: list[str], ref: list[str]) -> float:
     if not cand or not ref:
         return 0.0
     lcs = _lcs_length(cand, ref)
@@ -132,6 +147,33 @@ def rouge_l(candidate: str, reference: str) -> float:
     recall = lcs / len(ref)
     beta_sq = 1.2 * 1.2
     return (1.0 + beta_sq) * precision * recall / (recall + beta_sq * precision)
+
+
+def _pairwise_sum(values: list) -> float:
+    """The float sum of ``values`` in the order numpy's pairwise summation
+    adds a contiguous float64 array: below 8 values one running sum; up to
+    128 values eight interleaved running sums, combined as a tree, then the
+    rest; above that, the two halves (the first a multiple of 8 long) summed
+    on their own.  Python's ``sum`` may not be used: it compensates since 3.12.
+    """
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = [reduce(add, values[k:end:8]) for k in range(8)]
+        return reduce(add, values[end:], ((r[0] + r[1]) + (r[2] + r[3]))
+                      + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _mean(values: list) -> float:
+    """``np.mean(values)`` of a list of floats, bit for bit, without numpy:
+    the reduction starts from 0.0, adds the pairwise sum, and divides."""
+    if not values:
+        return math.nan
+    return (0.0 + _pairwise_sum(values)) / len(values)
 
 
 @dataclass(frozen=True)
@@ -163,11 +205,15 @@ class TrainIndex:
     @cached_property
     def row_sq(self) -> np.ndarray:
         """Each entry's squared norm, computed once per index for the screen."""
+        import numpy as np
+
         return np.einsum("ij,ij->i", self.matrix, self.matrix)
 
 
 def record_values(record, path) -> np.ndarray:
     """A record's values as a non-empty 1-D finite float vector, else ParseError."""
+    import numpy as np
+
     if record.values is None:
         raise ParseError(f"{path}: record {record.id!r} has no values")
     try:
@@ -184,19 +230,25 @@ def load_index(path) -> TrainIndex:
     """Load a training JSONL file into a retrieval index.
 
     Every record must carry a values vector of finite numbers; all vectors
-    must share one length.
+    must share one length.  The rows are appended to one flat buffer as they
+    are read, and the matrix is a view of it, so the index is never held twice.
     """
-    ids, rows, captions = [], [], []
+    import numpy as np
+
+    ids, captions, lengths = [], [], set()
+    flat = array("d")
     for record in iter_jsonl(path):
+        row = record_values(record, path)
         ids.append(record.id)
-        rows.append(record_values(record, path))
         captions.append(record.caption())
-    if not rows:
+        lengths.add(row.size)
+        flat.frombytes(row.tobytes())
+    if not ids:
         raise EmptyIndex(f"{path} contains no records")
-    lengths = {row.size for row in rows}
     if len(lengths) != 1:
         raise ParseError(f"{path}: value vectors have mixed lengths {sorted(lengths)}")
-    return TrainIndex(ids=ids, matrix=np.vstack(rows), captions=captions)
+    return TrainIndex(ids=ids, matrix=np.frombuffer(flat).reshape(len(ids), -1),
+                      captions=captions)
 
 
 def _check_width(q: np.ndarray, index: TrainIndex) -> np.ndarray:
@@ -246,8 +298,8 @@ def _check_width(q: np.ndarray, index: TrainIndex) -> np.ndarray:
 # So when some row has a finite M, the scan's first minimum is a candidate
 # as above; when none has, the smallest upper bound is infinite and every
 # row is a candidate.
-_BOUND_EPS = np.finfo(float).eps
-_BOUND_TINY = np.finfo(float).tiny
+_BOUND_EPS = sys.float_info.epsilon
+_BOUND_TINY = sys.float_info.min
 
 
 def nearest_rows(index: TrainIndex, queries: np.ndarray) -> tuple[list, list]:
@@ -259,6 +311,8 @@ def nearest_rows(index: TrainIndex, queries: np.ndarray) -> tuple[list, list]:
     re-scored exactly only when its error bound lets it beat the best upper
     bound (see the proof above).
     """
+    import numpy as np
+
     matrix = index.matrix
     n = matrix.shape[1]
     positions, mses = [], []
@@ -284,6 +338,8 @@ def nearnbr_caption(query, index: TrainIndex) -> tuple[str, str, float]:
     Exact; ties break to the lowest index position.  The query must already
     be resampled/normalized to the index vector length.
     """
+    from .signal import signal_values
+
     if len(index) == 0:
         raise EmptyIndex("retrieval index is empty")
     q = _check_width(signal_values(query), index)
@@ -300,6 +356,8 @@ def iter_nearnbr(index: TrainIndex, path):
     order raises: one whose values are missing, non-finite or of the wrong
     length, or one whose MSE to its nearest entry overflows (ParseError).
     """
+    import numpy as np
+
     records = iter_jsonl(path)
     block = np.empty((QUERY_BLOCK, index.matrix.shape[1]))
     while True:
@@ -341,18 +399,18 @@ def evaluate_corpus(candidates_path, references_path) -> MetricReport:
     if missing:
         raise AlignmentError(
             f"candidate and reference ids do not align: {missing}", ids=missing)
-    ordered_ids = sorted(candidates)
-    pairs = [
-        (tokenize(candidates[i]), [tokenize(references[i])])
-        for i in ordered_ids
-    ]
-    rouge_scores = [rouge_l(candidates[i], references[i]) for i in ordered_ids]
+    # each caption is tokenized once; BLEU-3 and BLEU-4 share one count of
+    # orders 1..4 and ROUGE-L reuses the tokens
+    pairs = [(tokenize(candidates[i]), [tokenize(references[i])])
+             for i in sorted(candidates)]
+    counts = _pooled_counts(pairs, 4)
     scores = {
-        "bleu_3": corpus_bleu(pairs, 3),
-        "bleu_4": corpus_bleu(pairs, 4),
-        "rouge_l": float(np.mean(rouge_scores)) if rouge_scores else 0.0,
+        "bleu_3": _bleu(counts, 3),
+        "bleu_4": _bleu(counts, 4),
+        "rouge_l": _mean([_rouge_l_tokens(cand, ref) for cand, (ref,) in pairs])
+                   if pairs else 0.0,
     }
-    return MetricReport(scores=scores, sample_count=len(ordered_ids))
+    return MetricReport(scores=scores, sample_count=len(pairs))
 
 
 def report_to_json(report: MetricReport) -> str:

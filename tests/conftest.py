@@ -93,7 +93,9 @@ def mock_endpoint():
     server.failing = set()
     server.lock = threading.Lock()
     server.active = server.peak = 0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever to wake from its poll, 0.5 s by default
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02},
+                              daemon=True)
     thread.start()
     try:
         yield server, f"http://127.0.0.1:{server.server_port}/v1/chat/completions"

@@ -5,6 +5,7 @@ import concurrent.futures
 import contextlib
 import csv
 import json
+import math
 import os
 import signal
 import subprocess
@@ -928,6 +929,40 @@ def test_launch_without_a_command_loads_no_numeric_module(statement):
     assert result.stdout.strip() == "[]"
 
 
+#: The scoring and synthesis modules, which reading and writing records needs none of.
+SCORING_MODULES = ("taco.signal", "taco.detectors", "taco.annotator", "taco.pipeline",
+                   "taco.synth")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (None, ("dataclasses",)),
+    (["caption", "--classes", "Rising"], ("numpy", *SCORING_MODULES)),
+    (["eval", "--candidates", "q.jsonl", "--references", "train.jsonl"],
+     ("numpy", *SCORING_MODULES)),
+    (["nearnbr", "--index", "train.jsonl", "--queries", "q.jsonl"],
+     (*SCORING_MODULES, "hashlib")),
+    (["dataset", "--input", "d.csv", "--window", "64", "--target-len", "64"], ("numpy.ma",)),
+], ids=["import-cli", "caption-classes", "eval", "nearnbr", "dataset"])
+def test_commands_load_only_what_they_run(argv, absent, tmp_path):
+    # the record layer needs only the standard library, so caption --classes
+    # and eval load no numpy, and nearnbr loads numpy but no scoring module;
+    # the spike score's median loads no numpy.ma
+    write_jsonl([{"id": f"t{i}", "caption_base": f"the signal rises {i}",
+                  "values": [float(i)] * 16} for i in range(5)], tmp_path / "train.jsonl")
+    write_jsonl([{"id": f"t{i}", "caption_base": f"the signal falls {i}",
+                  "values": [i + 0.25] * 16} for i in range(5)], tmp_path / "q.jsonl")
+    (tmp_path / "d.csv").write_text(
+        "v\n" + "".join(f"{math.sin(i / 5) + (i > 40)}\n" for i in range(128)))
+    run = "0" if argv is None else f"taco.cli.main({argv!r})"
+    probe = ("import contextlib, io, sys, taco.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = {run}\n"
+             f"print(code, [m for m in {absent!r} if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], env=_taco_env(), cwd=tmp_path,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "0 []", result.stderr
+
+
 #: ``taco.__all__`` as it stood when every public name was imported eagerly.
 PUBLIC_NAMES = [
     "__version__", "Annotation", "BASE_CAPTIONS", "DatasetRecord", "DetectorParams",
@@ -943,8 +978,9 @@ def test_public_names_resolve_to_their_defining_modules():
     assert taco.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES[1:]:
         value = getattr(taco, name)
-        home = sys.modules[getattr(value, "__module__", "taco.captioner")]  # BASE_CAPTIONS
-        assert getattr(home, name) is value, name
+        home = getattr(value, "__module__", "taco.captioner")  # BASE_CAPTIONS
+        assert home == f"taco.{taco._EXPORTS[name]}", name
+        assert getattr(sys.modules[home], name) is value, name
     assert not hasattr(taco, "no_such_name")
 
 

@@ -12,6 +12,7 @@ from taco.detectors import (
     NO_PERIOD,
     DetectorParams,
     ScoreVector,
+    _median,
     score_all,
     score_amplitude,
     score_constancy,
@@ -27,7 +28,7 @@ from taco.detectors import (
     score_trend,
 )
 from taco.errors import Degenerate, InvalidArgument, TooShort
-from taco.signal import NormalizedSeries, minmax_normalize
+from taco.signal import NormalizedSeries, minmax_normalize, segment
 
 from oracles import (
     linear_fit_mse_oracle,
@@ -267,6 +268,19 @@ def test_spike_down_isolated():
 def test_spike_rejects_bad_direction():
     with pytest.raises(InvalidArgument):
         score_spikes(ramp(), PARAMS, "sideways")
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 7, 8, 127, 128, 204, 205])
+def test_segment_median_equals_np_median_bit_for_bit(length):
+    rng = np.random.default_rng(length)
+    a = rng.random((3, 10, length)) * 10.0 ** rng.integers(-8, 9, (3, 10, 1))
+    a[0, 0] = 0.25  # a segment of ties
+    a[1, 1] = np.round(a[1, 1] * 4) / 4  # a segment of a few repeated values
+    a[2, 2] = -0.0  # numpy takes the median of a -0.0 segment as +0.0
+    assert _median(a).tobytes() == np.median(a, axis=-1).tobytes()
+    # the strided segment views that the spike score takes its medians of
+    segs = segment(rng.random((4, 10 * length + 3)), 10)
+    assert _median(segs).tobytes() == np.median(segs, axis=-1).tobytes()
 
 
 # ---------------------------------------------------------------------------

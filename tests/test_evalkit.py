@@ -3,15 +3,17 @@
 import math
 import random
 import string
+import struct
 
 import numpy as np
 import pytest
 
-from taco.errors import AlignmentError, EmptyIndex, InvalidArgument
+from taco.errors import AlignmentError, EmptyIndex, InvalidArgument, ParseError
 from taco.evalkit import (
     EXTERNAL_METRIC_KEYS,
     QUERY_BLOCK,
     TrainIndex,
+    _mean,
     bleu_n,
     corpus_bleu,
     evaluate_corpus,
@@ -22,7 +24,7 @@ from taco.evalkit import (
     rouge_l,
     tokenize,
 )
-from taco.pipeline import DatasetRecord, write_jsonl
+from taco.records import DatasetRecord, write_jsonl
 
 from oracles import bleu_oracle, lcs_oracle, nearnbr_oracle, rouge_l_oracle
 
@@ -338,9 +340,111 @@ def test_load_index_from_jsonl(tmp_path):
     assert neighbor == "r2" and caption == "caption 2"
 
 
+def test_load_index_matrix_is_the_rows_stacked(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = (rng.normal(size=(7, 33)) * 10.0 ** rng.integers(-300, 300, size=(7, 1))).tolist()
+    rows[3] = list(range(33))  # JSON integers become floats
+    path = tmp_path / "train.jsonl"
+    write_jsonl([{"id": f"r{i}", "caption_base": f"c{i}", "values": row}
+                 for i, row in enumerate(rows)], path)
+    index = load_index(path)
+    assert index.matrix.dtype == np.float64 and index.matrix.flags.c_contiguous
+    expected = np.vstack([np.asarray(row, dtype=float) for row in rows])
+    assert index.matrix.shape == expected.shape
+    assert index.matrix.tobytes() == expected.tobytes()
+    assert index.ids == [f"r{i}" for i in range(7)]
+    assert index.captions == [f"c{i}" for i in range(7)]
+
+
+def test_load_index_mixed_lengths_lists_every_length_sorted(tmp_path):
+    path = tmp_path / "train.jsonl"
+    write_jsonl([{"id": f"r{i}", "values": [0.5] * n}
+                 for i, n in enumerate([16, 4, 16, 9, 4, 2])], path)
+    with pytest.raises(ParseError, match=r"mixed lengths \[2, 4, 9, 16\]$"):
+        load_index(path)
+
+
+def test_load_index_names_the_first_bad_record_in_file_order(tmp_path):
+    # rows of two lengths come first: the bad record is named, not the lengths
+    path = tmp_path / "train.jsonl"
+    write_jsonl([{"id": "r0", "values": [0.5] * 4}, {"id": "r1", "values": [0.5] * 6},
+                 {"id": "r2", "values": [0.5, "x"]}, {"id": "r3", "values": None}], path)
+    with pytest.raises(ParseError, match="record 'r2' has null, non-finite or non-numeric"):
+        load_index(path)
+
+
+def test_load_index_empty_file(tmp_path):
+    path = tmp_path / "train.jsonl"
+    path.write_text("")
+    with pytest.raises(EmptyIndex, match="contains no records"):
+        load_index(path)
+
+
 # ---------------------------------------------------------------------------
 # evaluate_corpus
 # ---------------------------------------------------------------------------
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("kind", ["unit", "mixed"])
+def test_mean_equals_numpy_bit_for_bit(kind):
+    rng = random.Random(11)
+
+    def draw():
+        if kind == "unit":  # ROUGE-L scores lie in [0, 1]
+            return rng.choice([0.0, 1.0, rng.random()])
+        return rng.choice([0.0, -0.0, 1.0, -1.0]) * rng.random() * 10.0 ** rng.randint(-300, 300)
+
+    with pytest.warns(RuntimeWarning):
+        assert math.isnan(np.mean([])) and math.isnan(_mean([]))
+    for n in range(1, 1001):
+        values = [draw() for _ in range(n)]
+        assert _bits(_mean(values)) == _bits(float(np.mean(values))), n
+        if n in (1, 8, 200):  # numpy's sum starts from +0.0, so it is never -0.0
+            assert _bits(_mean([-0.0] * n)) == _bits(float(np.mean([-0.0] * n))), n
+
+
+def _one_pass_corpora():
+    rng = random.Random(4)
+    words = ["the", "signal", "rises", "falls", "then", "stays", "flat", "a"]
+    random_pairs = []
+    for _ in range(80):
+        cand = [rng.choice(words) for _ in range(rng.randint(0, 12))]
+        ref = [rng.choice(words) if rng.random() < 0.3 else w for w in cand]
+        random_pairs.append((" ".join(cand), " ".join(ref[:rng.randint(0, 12)])))
+    random_pairs += [("", "the signal rises"), ("the signal rises", ""), ("", ""), ("...", "a")]
+    return {
+        "random": random_pairs,
+        # unigram to trigram matches, no 4-gram match: BLEU-4 is 0, BLEU-3 is not
+        "no-4-gram-match": [("a b c x", "a b c y"), ("d e f", "d e f g")],
+        "no-match": [("a b", "c d"), ("e", "f")],
+        "empty-candidates": [("", "the signal rises"), ("!", "a b")],
+    }
+
+
+@pytest.mark.parametrize("corpus", ["random", "no-4-gram-match", "no-match", "empty-candidates"])
+def test_evaluate_corpus_equals_the_separate_metrics(corpus, tmp_path):
+    pairs = _one_pass_corpora()[corpus]
+    ids = [f"id{i:03d}" for i in range(len(pairs))]
+    c = tmp_path / "c.jsonl"
+    r = tmp_path / "r.jsonl"
+    write_caption_file(c, [(i, cand) for i, (cand, _) in zip(ids, pairs)])
+    write_caption_file(r, [(i, ref) for i, (_, ref) in zip(ids, pairs)])
+    tokens = [(tokenize(cand), [tokenize(ref)]) for cand, ref in pairs]
+    expected = {
+        "bleu_3": corpus_bleu(tokens, 3),
+        "bleu_4": corpus_bleu(tokens, 4),
+        "rouge_l": float(np.mean([rouge_l(cand, ref) for cand, ref in pairs])),
+    }
+    assert evaluate_corpus(c, r).scores == expected
+    if corpus == "random":
+        assert 0.0 < expected["bleu_4"] < expected["bleu_3"] < 1.0
+    elif corpus == "no-4-gram-match":
+        assert expected["bleu_4"] == 0.0 < expected["bleu_3"]
+    else:
+        assert expected == {"bleu_3": 0.0, "bleu_4": 0.0, "rouge_l": 0.0}
 
 def write_caption_file(path, items):
     rows = [{"id": i, "caption_base": text} for i, text in items]
