@@ -199,10 +199,6 @@ def assign_classes(scores: ScoreVector, cfg: ThresholdConfig) -> set[TimeSeriesC
     return assigned
 
 
-def class_names(classes) -> list[str]:
-    return [c.value for c in sorted_classes(classes)]
-
-
 def config_digest(params: DetectorParams, cfg: ThresholdConfig) -> str:
     """Stable short hash of detector params plus threshold rules."""
     import hashlib  # here, so that starting the CLI does not load it
@@ -224,7 +220,7 @@ class Annotation:
     normalized: NormalizedSeries = field(compare=False, repr=False)
 
     def class_names(self) -> list[str]:
-        return class_names(self.classes)
+        return [c.value for c in sorted_classes(self.classes)]
 
 
 def annotate(s, p: DetectorParams | None = None, cfg: ThresholdConfig | None = None):

@@ -44,10 +44,10 @@ class TimeSeriesClass(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "TimeSeriesClass":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise InvalidConfig(f"unknown time-series class: {name!r}")
+        try:
+            return cls(name)
+        except ValueError:
+            raise InvalidConfig(f"unknown time-series class: {name!r}") from None
 
 
 #: Canonical ordering index, used to sort class sets for display and JSON.

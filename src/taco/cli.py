@@ -11,7 +11,8 @@ once, then returns a generator of output lines.  :func:`main` alone writes
 them, to stdout or to ``--out``, so no check waits on ``--out`` being opened.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 external-service error,
-130 interrupted (Ctrl-C).
+128 + the signal number when stopped: 130 interrupted (Ctrl-C), 129 hung up
+(SIGHUP), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import sys
 from . import __version__
 from .captioner import (DEFAULT_IN_FLIGHT, TimeSeriesClass, base_caption, rephrase,
                         resolve_endpoint)
-from .errors import MIN_SERIES_LEN, InvalidArgument, ServiceError, TacoError, Unavailable
+from .errors import (MIN_SERIES_LEN, STOP_SIGNALS, InvalidArgument, ServiceError, TacoError,
+                     Unavailable)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,6 +37,17 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 class _UsageError(Exception):
     """A usage problem; :func:`main` prints it as one ``error:`` line."""
+
+
+class _Stopped(KeyboardInterrupt):
+    """``(message, exit code)`` of a run stopped by a signal other than
+    Ctrl-C's; a ``KeyboardInterrupt``, so that it takes the Ctrl-C path."""
+
+
+def _stop(signum, frame):
+    import signal
+
+    raise _Stopped(f"stopped by {signal.Signals(signum).name}", 128 + signum)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,7 +218,7 @@ def _cmd_caption(args):
         if args.rephrase:
             text = rephrase(text, endpoint=args.endpoint, model=args.model)
         return _lines(text)
-    from .records import iter_jsonl
+    from .records import FLOATLESS_DECODER, iter_jsonl
     from .synth import OVERLAY_NAMES, SHAPE_NAMES
 
     # forward shape and overlay names, which synth records list among their
@@ -215,7 +228,7 @@ def _cmd_caption(args):
     rows = ({"id": record.id,
              "caption_base": base_caption({TimeSeriesClass.from_name(n) for n in record.classes
                                            if n not in forward_only})}
-            for record in iter_jsonl(args.input))
+            for record in iter_jsonl(args.input, FLOATLESS_DECODER))
     if args.rephrase:
         rows = (row | {"caption_rephrased": new} for row, new in
                 _rephrased(rows, lambda row: row["caption_base"], args, args.jobs))
@@ -366,24 +379,37 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
+        import signal  # here, so that importing the CLI does not load it
+        import threading
+
         from .records import write_jsonl
 
-        # closing the lines ends what they run, a --jobs pool or rephrase
-        # threads, however the write ends
-        with contextlib.closing(args.func(args)) as lines:
-            write_jsonl(lines, args.out)
-        sys.stdout.flush()
+        stops = {}
+        if threading.current_thread() is threading.main_thread():  # else signal() refuses
+            stops = {name: signal.signal(getattr(signal, name), _stop)
+                     for name in STOP_SIGNALS if hasattr(signal, name)}
+        try:
+            # closing the lines ends what they run, a --jobs pool or rephrase
+            # threads, however the write ends
+            with contextlib.closing(args.func(args)) as lines:
+                write_jsonl(lines, args.out)
+            sys.stdout.flush()
+        finally:
+            for name, handler in stops.items():
+                signal.signal(getattr(signal, name), handler)
         return EXIT_OK
     except BrokenPipeError:
         # The reader closed stdout early, which is not an error.  Point fd 1
         # at devnull so the interpreter's final flush of stdout stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except KeyboardInterrupt:
+    except KeyboardInterrupt as exc:
         # write_jsonl has removed its temporary file and closing the lines
         # has shut any pool down on the way out
-        print("error: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        message, code = (exc.args if isinstance(exc, _Stopped)
+                         else ("interrupted", EXIT_INTERRUPTED))
+        print(f"error: {message}", file=sys.stderr)
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

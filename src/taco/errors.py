@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the length bound below
-which a signal is :class:`TooShort`.
+"""Exception types shared across the package, the length bound below which
+a signal is :class:`TooShort`, and the signals that stop a run.
 
 Every error raised by the library derives from :class:`TacoError` so callers
 can catch one base class at pipeline boundaries.  The CLI maps these onto its
@@ -18,6 +18,12 @@ class InvalidSignal(TacoError):
 #: Minimum length accepted at detector entry points: every score procedure
 #: needs at least 2 samples per segment at the smallest usable segmentation.
 MIN_SERIES_LEN = 16
+
+
+#: Names of the signals besides Ctrl-C's that end a CLI run the way Ctrl-C
+#: does (SIGTERM is what ``timeout`` and ``kill`` send); each that the
+#: platform has is handled.  Pool workers take their default action instead.
+STOP_SIGNALS = ("SIGTERM", "SIGHUP")
 
 
 class TooShort(InvalidSignal):

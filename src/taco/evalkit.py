@@ -211,16 +211,21 @@ class TrainIndex:
 
 
 def record_values(record, path) -> np.ndarray:
-    """A record's values as a non-empty 1-D finite float vector, else ParseError."""
+    """A record's values as a non-empty 1-D finite float vector, else ParseError.
+
+    Each value must be a JSON number: ``array("d")`` refuses a string, a
+    null, a list or an integer past the float range, where ``np.asarray``
+    would parse a numeric string.
+    """
     import numpy as np
 
     if record.values is None:
         raise ParseError(f"{path}: record {record.id!r} has no values")
     try:
-        values = np.asarray(record.values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        values = np.frombuffer(array("d", record.values))
+    except (TypeError, OverflowError):
         values = np.empty(0)
-    if values.ndim != 1 or not values.size or not np.isfinite(values).all():
+    if not values.size or not np.isfinite(values).all():
         raise ParseError(f"{path}: record {record.id!r} has null, non-finite "
                          f"or non-numeric values")
     return values

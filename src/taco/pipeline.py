@@ -27,7 +27,7 @@ import numpy as np
 
 from .annotator import DetectorParams, ThresholdConfig, annotate, config_digest, default_config
 from .captioner import base_caption
-from .errors import InvalidArgument, ParseError, TacoError
+from .errors import STOP_SIGNALS, InvalidArgument, ParseError, TacoError
 # write_jsonl and read_jsonl stay importable from here, beside the builders whose
 # records they write and read (bench/layers.py times them under these names)
 from .records import DatasetRecord, opened, read_jsonl, write_jsonl  # noqa: F401
@@ -62,10 +62,6 @@ class IngestSpec:
                 f"target_len {self.target_len} must be >= window_len {self.window_len}")
         if self.stride is not None and self.stride < 1:
             raise InvalidArgument(f"stride must be positive, got {self.stride}")
-
-    @property
-    def effective_stride(self) -> int:
-        return self.stride if self.stride is not None else self.window_len
 
 
 def _read_csv_columns(path: str, wanted: tuple | None) -> dict:
@@ -149,7 +145,7 @@ def ingest_csv(spec: IngestSpec):
               for path in spec.inputs]
     for name, columns in tables:
         for col, values in columns.items():
-            starts = range(0, values.size - spec.window_len + 1, spec.effective_stride)
+            starts = range(0, values.size - spec.window_len + 1, spec.stride or spec.window_len)
             for idx, start in enumerate(starts):
                 yield f"{name}#{col}#{idx}", values[start:start + spec.window_len]
 
@@ -226,6 +222,20 @@ def _listed(worker, chunk) -> list:
     return list(worker(chunk))
 
 
+def _quiet_worker() -> None:
+    """Pool worker set-up.  Workers ignore Ctrl-C, which a terminal sends to
+    the whole process group: the parent alone handles it and shuts the pool
+    down.  The other stop signals get back their default action from the
+    CLI's handler, which a forked worker inherits, so a signal to the group
+    ends a worker without a traceback."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for name in STOP_SIGNALS:
+        if hasattr(signal, name):
+            signal.signal(getattr(signal, name), signal.SIG_DFL)
+
+
 def in_order(pool, fn, items, ahead: int):
     """Yield ``fn(item)`` for each item, in item order, from calls submitted
     to the executor ``pool``, at most ``ahead`` of them submitted and not yet
@@ -260,21 +270,16 @@ def _ordered(worker, items, jobs: int):
     if jobs > 1:
         head = list(islice(chunks, 2))
         if len(head) == 2:
-            # imported here, so that starting the CLI loads neither
-            # multiprocessing nor the signal module
+            # imported here, so that starting the CLI does not load multiprocessing
             import multiprocessing
-            import signal
             from concurrent.futures import ProcessPoolExecutor
 
             # fork wherever the platform has it: Python 3.14 makes forkserver
             # the default, under which --jobs 2 ran slower than --jobs 1
             context = (multiprocessing.get_context("fork")
                        if "fork" in multiprocessing.get_all_start_methods() else None)
-            # Workers ignore Ctrl-C, which a terminal sends to the whole
-            # process group: the parent alone handles it and shuts the pool down.
             pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context,
-                                       initializer=signal.signal,
-                                       initargs=(signal.SIGINT, signal.SIG_IGN))
+                                       initializer=_quiet_worker)
             results = in_order(pool, partial(_listed, worker), chain(head, chunks),
                                jobs * CHUNKS_PER_JOB)
             with contextlib.closing(results):

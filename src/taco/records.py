@@ -87,7 +87,7 @@ class DatasetRecord:
     source: str = _record_field("a string", _is_str, default="")
     classes: list = _record_field(
         "a list of strings", lambda v: isinstance(v, list) and all(map(_is_str, v)),
-        list, default_factory=list)
+        default_factory=list)
     scores: dict = _record_field("an object", lambda v: isinstance(v, dict), _finite_scores,
                                  default_factory=dict)
     caption_base: str = _record_field("a string", _is_str, default="")
@@ -95,8 +95,7 @@ class DatasetRecord:
         "a string or null", lambda v: v is None or _is_str(v), default=None)
     config_digest: str = _record_field("a string", _is_str, default="")
     values: list | None = _record_field(
-        "a list or null", lambda v: v is None or isinstance(v, list),
-        lambda v: None if v is None else list(v), default=None)
+        "a list or null", lambda v: v is None or isinstance(v, list), default=None)
 
     def to_json_dict(self) -> dict:
         return {name: encode(getattr(self, name)) if encode else getattr(self, name)

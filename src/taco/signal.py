@@ -122,8 +122,6 @@ def resample_linear(s, target_len: int) -> np.ndarray:
     if v.size < 2:
         raise InvalidArgument("need at least 2 samples to resample")
     lo, hi = _finite_range(v)
-    if v.size == target_len:
-        return v.copy()
     out = np.interp(np.linspace(0.0, 1.0, target_len), np.linspace(0.0, 1.0, v.size), v)
     if not np.all(np.isfinite(out)):  # a slope past the float64 range
         raise InvalidSignal(f"signal range [{lo!r}, {hi!r}] overflows float64 when resampled")

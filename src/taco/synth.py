@@ -63,17 +63,9 @@ def _shape_linear_increase(t, params):
     return t.copy()
 
 
-def _shape_linear_decrease(t, params):
-    return 1.0 - t
-
-
 def _shape_convex(t, params):
     c = params.get("center", 0.5)
     return (t - c) ** 2 / max(c * c, (1.0 - c) ** 2)
-
-
-def _shape_concave(t, params):
-    return 1.0 - _shape_convex(t, params)
 
 
 def _shape_exp_growth(t, params):
@@ -105,27 +97,15 @@ def _shape_sigmoid(t, params):
     return (raw - lo) / (hi - lo)
 
 
-def _shape_inv_sigmoid(t, params):
-    return 1.0 - _shape_sigmoid(t, params)
-
-
 def _shape_cubic(t, params):
     c = params.get("center", 0.5)
     return ((t - c) ** 3 + c ** 3) / ((1.0 - c) ** 3 + c ** 3)
-
-
-def _shape_neg_cubic(t, params):
-    return 1.0 - _shape_cubic(t, params)
 
 
 def _shape_gaussian(t, params):
     c = params.get("center", 0.5)
     w = params.get("width", 0.15)
     return np.exp(-0.5 * ((t - c) / w) ** 2)
-
-
-def _shape_inv_gaussian(t, params):
-    return 1.0 - _shape_gaussian(t, params)
 
 
 def _shape_sinusoidal(t, params):
@@ -144,14 +124,13 @@ def _shape_sawtooth(t, params):
     return _frac(p * t)
 
 
-def _shape_reverse_sawtooth(t, params):
-    p = params.get("periods", 4)
-    return 1.0 - _frac(p * t)
-
-
 def _shape_triangle(t, params):
     p = params.get("periods", 2)
     return 1.0 - np.abs(1.0 - 2.0 * _frac(p * t))
+
+
+def _inverted(base):
+    return lambda t, params: 1.0 - base(t, params)
 
 
 def _spike_positions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -213,8 +192,9 @@ _SPIKE_KNOBS = {"amplitude": (0.3, 0.8), "count": (1, 5)}
 _SHAPES = {
     "Constant": _Shape(_shape_constant, "The signal is constant.", {}),
     "LinearIncrease": _Shape(_shape_linear_increase, "The signal increases linearly.", {}),
-    "LinearDecrease": _Shape(_shape_linear_decrease, "The signal decreases linearly.", {}),
-    "Concave": _Shape(_shape_concave, "The signal has a concave shape.", _CONVEX_KNOBS),
+    "LinearDecrease": _Shape(
+        _inverted(_shape_linear_increase), "The signal decreases linearly.", {}),
+    "Concave": _Shape(_inverted(_shape_convex), "The signal has a concave shape.", _CONVEX_KNOBS),
     "Convex": _Shape(_shape_convex, "The signal has a convex shape.", _CONVEX_KNOBS),
     "ExpGrowth": _Shape(_shape_exp_growth, "The signal grows exponentially.", _EXP_KNOBS),
     "ExpDecay": _Shape(_shape_exp_decay, "The signal decays exponentially.", _EXP_KNOBS),
@@ -226,14 +206,15 @@ _SHAPES = {
         "The signal follows an inverted exponential decay curve.", _EXP_KNOBS),
     "Sigmoid": _Shape(_shape_sigmoid, "The signal follows a sigmoid curve.", _SIGMOID_KNOBS),
     "InvSigmoid": _Shape(
-        _shape_inv_sigmoid, "The signal follows an inverted sigmoid curve.", _SIGMOID_KNOBS),
+        _inverted(_shape_sigmoid),
+        "The signal follows an inverted sigmoid curve.", _SIGMOID_KNOBS),
     "Cubic": _Shape(_shape_cubic, "The signal follows a cubic curve.", _CUBIC_KNOBS),
     "NegCubic": _Shape(
-        _shape_neg_cubic, "The signal follows a negative cubic curve.", _CUBIC_KNOBS),
+        _inverted(_shape_cubic), "The signal follows a negative cubic curve.", _CUBIC_KNOBS),
     "Gaussian": _Shape(
         _shape_gaussian, "The signal follows a Gaussian curve.", _GAUSSIAN_KNOBS),
     "InvGaussian": _Shape(
-        _shape_inv_gaussian,
+        _inverted(_shape_gaussian),
         "The signal follows an inverted Gaussian curve.", _GAUSSIAN_KNOBS),
     "Sinusoidal": _Shape(
         _shape_sinusoidal, "The signal follows a sinusoidal wave.",
@@ -241,7 +222,7 @@ _SHAPES = {
     "Square": _Shape(_shape_square, "The signal follows a square wave.", _WAVE_KNOBS),
     "Sawtooth": _Shape(_shape_sawtooth, "The signal follows a sawtooth wave.", _WAVE_KNOBS),
     "ReverseSawtooth": _Shape(
-        _shape_reverse_sawtooth, "The signal follows a reverse sawtooth wave.", _WAVE_KNOBS),
+        _inverted(_shape_sawtooth), "The signal follows a reverse sawtooth wave.", _WAVE_KNOBS),
     "Triangle": _Shape(
         _shape_triangle, "The signal follows a triangle wave.", {"periods": (1, 4)}),
 }

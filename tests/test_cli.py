@@ -86,6 +86,19 @@ def test_caption_from_classes(capsys, tmp_path):
     assert path.read_text() == out
 
 
+def test_main_runs_off_the_main_thread(tmp_path):
+    # only the main thread may install signal handlers; main called from
+    # another thread runs without its SIGTERM and SIGHUP handler
+    path = tmp_path / "cap.txt"
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(
+        main(["caption", "--classes", "Rising", "--out", str(path)])))
+    worker.start()
+    worker.join(timeout=60)
+    assert codes == [EXIT_OK]
+    assert path.read_text() == "The signal has a rising trend.\n"
+
+
 def test_caption_unknown_class_exits_two():
     assert main(["caption", "--classes", "Wobbly"]) == EXIT_DATA
 
@@ -489,15 +502,19 @@ def test_eval_report_to_file(tmp_path):
     assert json.loads(out.read_text())["sample_count"] == 1
 
 
-@pytest.mark.parametrize("field", ["id", "caption_base"])
-def test_eval_refuses_a_float_string_field(field, tmp_path, capsys):
-    # eval decodes no float's value, yet a float where a string belongs
-    # still fails the field's check, with the message it always had
+@pytest.mark.parametrize("command, field", [
+    ("eval", "id"), ("eval", "caption_base"), ("caption", "id"),
+], ids=["id", "caption_base", "caption-id"])
+def test_eval_refuses_a_float_string_field(command, field, tmp_path, capsys):
+    # eval and caption --input decode no float's value, yet a float where a
+    # string belongs still fails the field's check, with the message it always had
     cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
-    row = {"id": "a", "caption_base": "x y z", "values": [0.25, 1e300]}
+    row = {"id": "a", "caption_base": "x y z", "classes": ["Rising"], "values": [0.25, 1e300]}
     write_jsonl([row], cands)
     write_jsonl([row | {field: 1.5}], refs)
-    assert main(["eval", "--candidates", str(cands), "--references", str(refs)]) == EXIT_DATA
+    argv = {"eval": ["eval", "--candidates", str(cands), "--references", str(refs)],
+            "caption": ["caption", "--input", str(refs)]}[command]
+    assert main(argv) == EXIT_DATA
     assert capsys.readouterr().err == f"error: {refs}: {field!r} must be a string at line 1\n"
 
 
@@ -683,10 +700,12 @@ def _rising_cutoff(cutoff):
     _dataset_with("--config", _rising_cutoff("1e-3 ")),
     _index_with_null,
     _nearnbr_with("index", "abc"),
+    _nearnbr_with("index", "1e3"),
     _nearnbr_with("index", 10**400),
     _nearnbr_with("query", -10**400),
     _nearnbr_with("query", None),
     _nearnbr_with("query", "abc"),
+    _nearnbr_with("query", "  2 "),
     _nearnbr_with("query", [1.0]),
     _nearnbr_with("query", float("nan")),
     _nearnbr_overflow,
@@ -723,9 +742,10 @@ def _rising_cutoff(cutoff):
 ], ids=["params-k-segments-string", "params-spike-sigma-null", "config-cutoff-string",
         "config-cutoff-null", "params-spike-sigma-past-float", "config-cutoff-past-float",
         "config-cutoff-bool", "config-cutoff-numeric-string", "config-cutoff-padded-string",
-        "nearnbr-null-value", "nearnbr-index-string-value", "nearnbr-index-past-float",
-        "nearnbr-query-past-float",
+        "nearnbr-null-value", "nearnbr-index-string-value", "nearnbr-index-numeric-string",
+        "nearnbr-index-past-float", "nearnbr-query-past-float",
         "nearnbr-query-null-value", "nearnbr-query-string-value",
+        "nearnbr-query-numeric-string",
         "nearnbr-query-nested-value", "nearnbr-query-nan-token", "nearnbr-mse-overflow",
         "caption-classes-null", "caption-classes-string", "caption-classes-number-item",
         "caption-scores-list", "eval-classes-null", "eval-scores-list",
@@ -1068,14 +1088,26 @@ def test_closed_stdout_exits_quietly(argv, lines_read, tmp_path):
     assert err == b""
 
 
+_SYNTH_ARGV = ["synth", "--count", "100000"]
+_DATASET_ARGV = ["dataset", "--input", "{csv}", "--jobs", "2"]
+
+
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
-@pytest.mark.parametrize("argv", [
-    ["synth", "--count", "100000"],
-    ["dataset", "--input", "{csv}", "--jobs", "2"],
-], ids=["synth", "dataset-jobs2"])
-def test_ctrl_c_exits_130_and_leaves_no_file(argv, tmp_path):
-    # Ctrl-C reaches the whole process group, pool workers included; it is
-    # sent once the temporary output file holds a line, so the run is writing
+@pytest.mark.parametrize("argv, signum, expected", [
+    (_SYNTH_ARGV, signal.SIGINT, (EXIT_INTERRUPTED, b"error: interrupted\n")),
+    (_DATASET_ARGV, signal.SIGINT, (EXIT_INTERRUPTED, b"error: interrupted\n")),
+    (_SYNTH_ARGV, signal.SIGTERM, (143, b"error: stopped by SIGTERM\n")),
+    (_DATASET_ARGV, signal.SIGTERM, (143, b"error: stopped by SIGTERM\n")),
+    (_SYNTH_ARGV, signal.SIGHUP, (129, b"error: stopped by SIGHUP\n")),
+    (_DATASET_ARGV, signal.SIGHUP, (129, b"error: stopped by SIGHUP\n")),
+], ids=["synth", "dataset-jobs2", "synth-sigterm", "dataset-jobs2-sigterm",
+        "synth-sighup", "dataset-jobs2-sighup"])
+def test_ctrl_c_exits_130_and_leaves_no_file(argv, signum, expected, tmp_path):
+    # Ctrl-C reaches the whole process group, pool workers included, while
+    # SIGTERM and SIGHUP go to the CLI process alone, as timeout and kill send
+    # them; each is sent once the temporary output file holds a line, so the
+    # run is writing.  Either way the run ends with exit 128 + the signal
+    # number, one error line, no output file and no worker left.
     argv = [arg.format(csv=tmp_path / "sines.csv") for arg in argv]
     if "dataset" in argv:
         _sine_csv(tmp_path / "sines.csv", 400)
@@ -1090,14 +1122,17 @@ def test_ctrl_c_exits_130_and_leaves_no_file(argv, tmp_path):
                 proc.wait(timeout=0.01)
             assert proc.returncode is None, proc.stderr.read()
             assert time.monotonic() < deadline, "no output line within 60 s"
-        os.killpg(proc.pid, signal.SIGINT)
+        if signum == signal.SIGINT:
+            os.killpg(proc.pid, signum)
+        else:
+            os.kill(proc.pid, signum)
         _, err = proc.communicate(timeout=60)
     finally:
         if proc.returncode is None:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-    assert (proc.returncode, err) == (EXIT_INTERRUPTED, b"error: interrupted\n")
+    assert (proc.returncode, err) == expected
     assert [path.name for path in tmp_path.iterdir() if "out.jsonl" in path.name] == []
     with pytest.raises(ProcessLookupError):  # the pool's workers are gone too
         os.killpg(proc.pid, 0)

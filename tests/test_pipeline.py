@@ -360,6 +360,11 @@ def _sigint_dispositions(chunk):
     return [signal.getsignal(signal.SIGINT) for _ in chunk]
 
 
+def _stop_dispositions(chunk):
+    return [(signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP))
+            for _ in chunk]
+
+
 def _absolutes(chunk):
     return [abs(item) for item in chunk]
 
@@ -368,6 +373,20 @@ def test_pool_workers_ignore_ctrl_c():
     # a terminal sends Ctrl-C to idle pool workers too; only the parent acts on it
     dispositions = _ordered(_sigint_dispositions, range(3 * CHUNK_TASKS), jobs=2)
     assert set(dispositions) == {signal.SIG_IGN}
+
+
+def test_pool_workers_drop_the_parents_stop_handlers():
+    # the CLI's SIGTERM and SIGHUP handler is inherited by a forked worker;
+    # a worker takes the default action instead, so a signal to the process
+    # group ends it without a traceback
+    saved = {signum: signal.signal(signum, signal.SIG_IGN)
+             for signum in (signal.SIGTERM, signal.SIGHUP)}
+    try:
+        dispositions = set(_ordered(_stop_dispositions, range(3 * CHUNK_TASKS), jobs=2))
+    finally:
+        for signum, old in saved.items():
+            signal.signal(signum, old)
+    assert dispositions == {(signal.SIG_DFL, signal.SIG_DFL)}
 
 
 def test_pool_forks_where_the_platform_can(monkeypatch):

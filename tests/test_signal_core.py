@@ -100,6 +100,20 @@ def test_resample_identity_grid():
     assert np.array_equal(resample_linear(v, 77), v)
 
 
+@pytest.mark.parametrize("v", [
+    np.array([-0.0, 0.0, -0.0, 1.0, -0.0]),
+    np.array([5e-324, -5e-324, 2.2e-308, 0.0, -1e-310, 1e-300]),
+    np.array([1e300, -1e300, 9.9e299, -0.0, 1e300, -1e300]),
+    np.array([0.0, 1e308, -0.0, 1e-320]),  # range 1e308 fits, slope 3e308 does not
+], ids=["signed-zeros", "subnormals", "near-1e300", "finite-range-overflowing-slope"])
+def test_resample_to_own_length_keeps_every_bit(v):
+    # np.interp on identical grids returns each sample as it is, with no
+    # slope formed, so even a window whose slope would overflow comes back
+    out = resample_linear(v, v.size)
+    assert out is not v
+    assert out.tobytes() == v.tobytes()
+
+
 def test_resample_ramp_matches_closed_form():
     ramp = np.linspace(0.0, 1.0, 300)
     out = resample_linear(ramp, 2048)
