@@ -386,8 +386,10 @@ def main(argv=None) -> int:
 
         stops = {}
         if threading.current_thread() is threading.main_thread():  # else signal() refuses
+            # a signal the caller ignores, as nohup ignores SIGHUP, stays ignored
             stops = {name: signal.signal(getattr(signal, name), _stop)
-                     for name in STOP_SIGNALS if hasattr(signal, name)}
+                     for name in STOP_SIGNALS if hasattr(signal, name)
+                     and signal.getsignal(getattr(signal, name)) is not signal.SIG_IGN}
         try:
             # closing the lines ends what they run, a --jobs pool or rephrase
             # threads, however the write ends

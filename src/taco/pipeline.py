@@ -225,14 +225,15 @@ def _listed(worker, chunk) -> list:
 def _quiet_worker() -> None:
     """Pool worker set-up.  Workers ignore Ctrl-C, which a terminal sends to
     the whole process group: the parent alone handles it and shuts the pool
-    down.  The other stop signals get back their default action from the
-    CLI's handler, which a forked worker inherits, so a signal to the group
-    ends a worker without a traceback."""
+    down.  The other stop signals get back their default action in place of
+    the CLI's handler, which a forked worker inherits, so a signal to the
+    group ends a worker without a traceback; one the parent ignores, as nohup
+    ignores SIGHUP, stays ignored."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for name in STOP_SIGNALS:
-        if hasattr(signal, name):
+        if hasattr(signal, name) and callable(signal.getsignal(getattr(signal, name))):
             signal.signal(getattr(signal, name), signal.SIG_DFL)
 
 

@@ -1138,6 +1138,59 @@ def test_ctrl_c_exits_130_and_leaves_no_file(argv, signum, expected, tmp_path):
         os.killpg(proc.pid, 0)
 
 
+def test_an_ignored_stop_signal_stays_ignored_during_a_run(monkeypatch):
+    # nohup starts a run with SIGHUP ignored; main leaves it so, handles
+    # SIGTERM, and puts both back as they were
+    seen = []
+
+    def recording(args):
+        seen.append((signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)))
+        yield from ()
+
+    monkeypatch.setattr(taco.cli, "_cmd_synth", recording)
+    term = signal.getsignal(signal.SIGTERM)
+    saved = signal.signal(signal.SIGHUP, signal.SIG_IGN)
+    try:
+        assert main(["synth", "--count", "1"]) == EXIT_OK
+        after = (signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP))
+    finally:
+        signal.signal(signal.SIGHUP, saved)
+    assert seen == [(taco.cli._stop, signal.SIG_IGN)]
+    assert after == (term, signal.SIG_IGN)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_a_hangup_does_not_stop_a_run_that_ignores_it(tmp_path):
+    # a run started under nohup inherits SIGHUP ignored; a hangup sent to its
+    # process group, pool workers included, leaves it writing to the end
+    csv_path = _sine_csv(tmp_path / "sines.csv", 400)
+    out = tmp_path / "out.jsonl"
+    saved = signal.signal(signal.SIGHUP, signal.SIG_IGN)  # inherited across exec
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "taco.cli", "dataset", "--input",
+                                 csv_path, "--jobs", "2", "--out", str(out)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_taco_env(), start_new_session=True)
+    finally:
+        signal.signal(signal.SIGHUP, saved)
+    deadline = time.monotonic() + 60
+    try:
+        while not any(tmp.stat().st_size for tmp in tmp_path.glob(".out.jsonl.*.tmp")):
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                proc.wait(timeout=0.01)
+            assert proc.returncode is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "no output line within 60 s"
+        os.killpg(proc.pid, signal.SIGHUP)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.returncode is None:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert (proc.returncode, err) == (EXIT_OK, b"")
+    assert len(out.read_text().splitlines()) == 800
+
+
 @pytest.mark.parametrize("command", ["caption", "nearnbr"])
 def test_late_bad_line_streams_earlier_rows_to_stdout_only(command, tmp_path, capsys):
     # rows are written as they are made: stdout gets those before the bad

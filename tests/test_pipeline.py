@@ -375,18 +375,27 @@ def test_pool_workers_ignore_ctrl_c():
     assert set(dispositions) == {signal.SIG_IGN}
 
 
-def test_pool_workers_drop_the_parents_stop_handlers():
+def _parents_stop_handler(signum, frame):
+    raise AssertionError("a pool worker ran its parent's stop handler")
+
+
+@pytest.mark.parametrize("inherited, expected", [
+    (_parents_stop_handler, signal.SIG_DFL),
+    (signal.SIG_IGN, signal.SIG_IGN),
+], ids=["handler", "ignored"])
+def test_pool_workers_drop_the_parents_stop_handlers(inherited, expected):
     # the CLI's SIGTERM and SIGHUP handler is inherited by a forked worker;
     # a worker takes the default action instead, so a signal to the process
-    # group ends it without a traceback
-    saved = {signum: signal.signal(signum, signal.SIG_IGN)
+    # group ends it without a traceback.  A signal the parent ignores, as
+    # nohup ignores SIGHUP, stays ignored.
+    saved = {signum: signal.signal(signum, inherited)
              for signum in (signal.SIGTERM, signal.SIGHUP)}
     try:
         dispositions = set(_ordered(_stop_dispositions, range(3 * CHUNK_TASKS), jobs=2))
     finally:
         for signum, old in saved.items():
             signal.signal(signum, old)
-    assert dispositions == {(signal.SIG_DFL, signal.SIG_DFL)}
+    assert dispositions == {(expected, expected)}
 
 
 def test_pool_forks_where_the_platform_can(monkeypatch):
