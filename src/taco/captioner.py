@@ -18,29 +18,37 @@ from .errors import EmptyCompletion, InvalidConfig, ProtocolError, Unavailable
 
 
 class TimeSeriesClass(enum.Enum):
-    """The 21 descriptive classes, in canonical display order."""
+    """The 21 descriptive classes, in canonical display order.  Each row
+    gives a class's name, its value and its one template sentence, the
+    member's ``caption``.  Rising and Smooth are the reference wordings; the
+    rest follow the same surface pattern."""
 
-    RISING = "Rising"
-    FALLING = "Falling"
-    CONSTANT = "Constant"
-    CONVEX = "Convex"
-    CONCAVE = "Concave"
-    LINEAR = "Linear"
-    NONLINEAR = "Nonlinear"
-    SMOOTH = "Smooth"
-    NOISY = "Noisy"
-    SIMPLE = "Simple"
-    COMPLEX = "Complex"
-    SPIKY = "Spiky"
-    DROPOUT = "Dropout"
-    PERIODIC = "Periodic"
-    APERIODIC = "Aperiodic"
-    SYMMETRY = "Symmetry"
-    ASYMMETRY = "Asymmetry"
-    STEP = "Step"
-    NOSTEP = "NoStep"
-    HIGH_AMPLITUDE = "HighAmplitude"
-    LOW_AMPLITUDE = "LowAmplitude"
+    def __new__(cls, value: str, caption: str):
+        member = object.__new__(cls)
+        member._value_, member.caption = value, caption
+        return member
+
+    RISING = "Rising", "The signal has a rising trend."
+    FALLING = "Falling", "The signal has a falling trend."
+    CONSTANT = "Constant", "The signal stays almost constant."
+    CONVEX = "Convex", "The signal has a convex shape."
+    CONCAVE = "Concave", "The signal has a concave shape."
+    LINEAR = "Linear", "The signal follows a linear trend."
+    NONLINEAR = "Nonlinear", "The signal follows a nonlinear trend."
+    SMOOTH = "Smooth", "The signal has a smooth shape."
+    NOISY = "Noisy", "The signal contains a lot of noise."
+    SIMPLE = "Simple", "The signal has a simple shape."
+    COMPLEX = "Complex", "The signal shows complex behavior."
+    SPIKY = "Spiky", "The signal contains sudden spikes in value."
+    DROPOUT = "Dropout", "The signal contains sudden drops in value."
+    PERIODIC = "Periodic", "The signal shows periodic behavior."
+    APERIODIC = "Aperiodic", "The signal shows no clear periodicity."
+    SYMMETRY = "Symmetry", "The signal is symmetric about its center."
+    ASYMMETRY = "Asymmetry", "The signal is asymmetric about its center."
+    STEP = "Step", "The signal contains step-like level changes."
+    NOSTEP = "NoStep", "The signal contains no step-like level changes."
+    HIGH_AMPLITUDE = "HighAmplitude", "The signal has a high amplitude."
+    LOW_AMPLITUDE = "LowAmplitude", "The signal has a low amplitude."
 
     @classmethod
     def from_name(cls, name: str) -> "TimeSeriesClass":
@@ -59,31 +67,8 @@ def sorted_classes(classes) -> list[TimeSeriesClass]:
     return sorted(classes, key=lambda c: CLASS_ORDER[c])
 
 
-#: One template sentence per class.  Rising and Smooth are the reference
-#: wordings; the rest follow the same surface pattern.
-BASE_CAPTIONS = {
-    TimeSeriesClass.RISING: "The signal has a rising trend.",
-    TimeSeriesClass.FALLING: "The signal has a falling trend.",
-    TimeSeriesClass.CONSTANT: "The signal stays almost constant.",
-    TimeSeriesClass.CONVEX: "The signal has a convex shape.",
-    TimeSeriesClass.CONCAVE: "The signal has a concave shape.",
-    TimeSeriesClass.LINEAR: "The signal follows a linear trend.",
-    TimeSeriesClass.NONLINEAR: "The signal follows a nonlinear trend.",
-    TimeSeriesClass.SMOOTH: "The signal has a smooth shape.",
-    TimeSeriesClass.NOISY: "The signal contains a lot of noise.",
-    TimeSeriesClass.SIMPLE: "The signal has a simple shape.",
-    TimeSeriesClass.COMPLEX: "The signal shows complex behavior.",
-    TimeSeriesClass.SPIKY: "The signal contains sudden spikes in value.",
-    TimeSeriesClass.DROPOUT: "The signal contains sudden drops in value.",
-    TimeSeriesClass.PERIODIC: "The signal shows periodic behavior.",
-    TimeSeriesClass.APERIODIC: "The signal shows no clear periodicity.",
-    TimeSeriesClass.SYMMETRY: "The signal is symmetric about its center.",
-    TimeSeriesClass.ASYMMETRY: "The signal is asymmetric about its center.",
-    TimeSeriesClass.STEP: "The signal contains step-like level changes.",
-    TimeSeriesClass.NOSTEP: "The signal contains no step-like level changes.",
-    TimeSeriesClass.HIGH_AMPLITUDE: "The signal has a high amplitude.",
-    TimeSeriesClass.LOW_AMPLITUDE: "The signal has a low amplitude.",
-}
+#: Each class's template sentence, in canonical order.
+BASE_CAPTIONS = {member: member.caption for member in TimeSeriesClass}
 
 #: Caption used when no class rule fired at all.
 NO_SALIENT_CAPTION = "The signal has no salient characteristics."

@@ -219,15 +219,22 @@ def _cmd_caption(args):
             text = rephrase(text, endpoint=args.endpoint, model=args.model)
         return _lines(text)
     from .records import FLOATLESS_DECODER, iter_jsonl
-    from .synth import OVERLAY_NAMES, SHAPE_NAMES
 
-    # forward shape and overlay names, which synth records list among their
-    # classes, name no time-series class and are skipped
-    forward_only = (frozenset(SHAPE_NAMES + OVERLAY_NAMES)
-                    - {member.value for member in TimeSeriesClass})
+    class_names = {member.value for member in TimeSeriesClass}
+
+    def captioned(name) -> bool:
+        # a forward shape or overlay name, which synth records list among
+        # their classes, names no time-series class and is skipped; only a
+        # name that is not a class imports synth, and with it numpy
+        if name in class_names:
+            return True
+        from .synth import OVERLAY_NAMES, SHAPE_NAMES
+
+        return name not in SHAPE_NAMES + OVERLAY_NAMES
+
     rows = ({"id": record.id,
              "caption_base": base_caption({TimeSeriesClass.from_name(n) for n in record.classes
-                                           if n not in forward_only})}
+                                           if captioned(n)})}
             for record in iter_jsonl(args.input, FLOATLESS_DECODER))
     if args.rephrase:
         rows = (row | {"caption_rephrased": new} for row, new in

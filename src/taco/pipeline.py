@@ -150,14 +150,6 @@ def ingest_csv(spec: IngestSpec):
                 yield f"{name}#{col}#{idx}", values[start:start + spec.window_len]
 
 
-def _record(tag: str, source: str, classes: list, scores: dict, caption: str,
-            digest: str, kept) -> DatasetRecord:
-    """The one record constructor; ``kept`` is the normalised series to keep, or None."""
-    values = None if kept is None else kept.values.tolist()
-    return DatasetRecord(id=tag, source=source, classes=classes, scores=scores,
-                         caption_base=caption, config_digest=digest, values=values)
-
-
 def _window_outcomes(windows, *, params, cfg, target_len, include_values, digest, encode):
     """Resample a chunk of windows into one block, then annotate and caption it.
 
@@ -177,9 +169,11 @@ def _window_outcomes(windows, *, params, cfg, target_len, include_values, digest
     for kind, item in outcomes:
         if kind == "ok":
             annotation = next(annotations)
-            item = _record(item, item, annotation.class_names(), annotation.scores.as_dict(),
-                           base_caption(annotation.classes), digest,
-                           annotation.normalized if include_values else None)
+            item = DatasetRecord(
+                id=item, source=item, classes=annotation.class_names(),
+                scores=annotation.scores.as_dict(),
+                caption_base=base_caption(annotation.classes), config_digest=digest,
+                values=annotation.normalized.values.tolist() if include_values else None)
             item = encode(item) if encode else item
         yield kind, item
 
@@ -204,10 +198,12 @@ def _synth_records(indices, *, master_seed, annotate_also, params, cfg, include_
             caption = f"{caption} {base_caption(annotation.classes)}"
             classes += [c for c in annotation.class_names() if c not in classes]
             scores = annotation.scores.as_dict()
-            kept = annotation.normalized if include_values else None
+            kept = annotation.normalized
         else:
             kept = minmax_normalize(synth.values) if include_values else None
-        record = _record(f"synth-{i:06d}", "synth", classes, scores, caption, digest, kept)
+        record = DatasetRecord(id=f"synth-{i:06d}", source="synth", classes=classes,
+                               scores=scores, caption_base=caption, config_digest=digest,
+                               values=kept.values.tolist() if include_values else None)
         yield encode(record) if encode else record
 
 
@@ -228,13 +224,29 @@ def _quiet_worker() -> None:
     down.  The other stop signals get back their default action in place of
     the CLI's handler, which a forked worker inherits, so a signal to the
     group ends a worker without a traceback; one the parent ignores, as nohup
-    ignores SIGHUP, stays ignored."""
+    ignores SIGHUP, stays ignored.
+
+    A parent killed outright, as by SIGKILL, shuts nothing down, and a worker
+    waiting on the call queue would wait for good: forked workers hold the
+    write end of the queue's pipe themselves, so it never reads end-of-file.
+    So a daemon thread ends the worker once its parent process id changes."""
+    import os
     import signal
+    import threading
+    import time
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for name in STOP_SIGNALS:
         if hasattr(signal, name) and callable(signal.getsignal(getattr(signal, name))):
             signal.signal(getattr(signal, name), signal.SIG_DFL)
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def in_order(pool, fn, items, ahead: int):

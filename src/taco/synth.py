@@ -51,10 +51,6 @@ class SynthRecord:
     caption: str
 
 
-def _frac(x: np.ndarray) -> np.ndarray:
-    return np.mod(x, 1.0)
-
-
 def _shape_constant(t, params):
     return np.full_like(t, 0.5)
 
@@ -116,17 +112,17 @@ def _shape_sinusoidal(t, params):
 
 def _shape_square(t, params):
     p = params.get("periods", 4)
-    return np.where(_frac(p * t) < 0.5, 1.0, 0.0)
+    return np.where(np.mod(p * t, 1.0) < 0.5, 1.0, 0.0)
 
 
 def _shape_sawtooth(t, params):
     p = params.get("periods", 4)
-    return _frac(p * t)
+    return np.mod(p * t, 1.0)
 
 
 def _shape_triangle(t, params):
     p = params.get("periods", 2)
-    return 1.0 - np.abs(1.0 - 2.0 * _frac(p * t))
+    return 1.0 - np.abs(1.0 - 2.0 * np.mod(p * t, 1.0))
 
 
 def _inverted(base):
@@ -135,9 +131,8 @@ def _inverted(base):
 
 def _spike_positions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     margin = max(1, int(round(SPIKE_EDGE_MARGIN * n)))
-    candidates = np.arange(margin, n - margin)
-    count = min(count, candidates.size)
-    return np.sort(rng.choice(candidates, size=count, replace=False))
+    room = n - 2 * margin
+    return np.sort(margin + rng.choice(room, size=min(count, room), replace=False))
 
 
 def _overlay_noisy(values, params, rng):

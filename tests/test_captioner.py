@@ -1,6 +1,7 @@
 """Caption templates and the optional HTTP rephrasing step."""
 
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -44,9 +45,14 @@ def test_caption_order_independent():
 
 
 def test_templates_complete_sentences():
-    assert set(BASE_CAPTIONS) == set(TimeSeriesClass)
-    for template in BASE_CAPTIONS.values():
+    # each class row carries its template; BASE_CAPTIONS keeps member order,
+    # and a member still pickles and looks up by its name
+    assert list(BASE_CAPTIONS) == list(TimeSeriesClass)
+    for member, template in BASE_CAPTIONS.items():
+        assert template == member.caption
         assert template and template.endswith(".")
+        assert TimeSeriesClass(member.value) is member
+        assert pickle.loads(pickle.dumps(member)) is member
 
 
 def test_caption_roundtrip_to_classes():

@@ -962,17 +962,22 @@ SCORING_MODULES = ("taco.signal", "taco.detectors", "taco.annotator", "taco.pipe
     (["nearnbr", "--index", "train.jsonl", "--queries", "q.jsonl"],
      (*SCORING_MODULES, "hashlib")),
     (["dataset", "--input", "d.csv", "--window", "64", "--target-len", "64"], ("numpy.ma",)),
-], ids=["import-cli", "caption-classes", "eval", "nearnbr", "dataset"])
+    (["caption", "--input", "a.jsonl"], ("numpy", *SCORING_MODULES)),
+], ids=["import-cli", "caption-classes", "eval", "nearnbr", "dataset", "caption-input"])
 def test_commands_load_only_what_they_run(argv, absent, tmp_path):
     # the record layer needs only the standard library, so caption --classes
-    # and eval load no numpy, and nearnbr loads numpy but no scoring module;
-    # the spike score's median loads no numpy.ma
+    # and eval load no numpy, nor does caption --input on rows that name
+    # only time-series classes, as annotate rows do; nearnbr loads numpy but
+    # no scoring module; the spike score's median loads no numpy.ma
     write_jsonl([{"id": f"t{i}", "caption_base": f"the signal rises {i}",
                   "values": [float(i)] * 16} for i in range(5)], tmp_path / "train.jsonl")
     write_jsonl([{"id": f"t{i}", "caption_base": f"the signal falls {i}",
                   "values": [i + 0.25] * 16} for i in range(5)], tmp_path / "q.jsonl")
     (tmp_path / "d.csv").write_text(
         "v\n" + "".join(f"{math.sin(i / 5) + (i > 40)}\n" for i in range(128)))
+    write_jsonl([{"id": f"d.csv#v#{i}", "source": f"d.csv#v#{i}", "classes": ["Rising", "Step"],
+                  "scores": {"slope": 0.5, "step_ratio": 0.25}, "params_digest": "0" * 16}
+                 for i in range(2)], tmp_path / "a.jsonl")
     run = "0" if argv is None else f"taco.cli.main({argv!r})"
     probe = ("import contextlib, io, sys, taco.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1032,7 +1037,8 @@ def test_taco_runs_blas_on_one_thread_unless_the_caller_sets_it():
 @pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="needs /proc/self/task")
 def test_pool_workers_run_blas_on_one_thread():
     # each worker makes a BLAS call large enough to be split across threads,
-    # then counts its own threads
+    # then counts its own threads: its main thread and the thread that
+    # watches for the parent's death, and no BLAS thread
     probe = ("import os, taco.pipeline, numpy as np\n"
              "def threads(chunk):\n"
              "    np.ones((64, 2048)) @ np.ones((2048, 300))\n"
@@ -1040,7 +1046,7 @@ def test_pool_workers_run_blas_on_one_thread():
              "print(*sorted(set(taco.pipeline._ordered(threads, range(32), 2))))\n")
     result = subprocess.run([sys.executable, "-c", probe], env=_blas_env(),
                             capture_output=True, text=True, check=True, timeout=120)
-    assert result.stdout.split() == ["1"]
+    assert result.stdout.split() == ["2"]
 
 
 def test_outputs_identical_across_blas_thread_counts(tmp_path):
@@ -1092,6 +1098,17 @@ _SYNTH_ARGV = ["synth", "--count", "100000"]
 _DATASET_ARGV = ["dataset", "--input", "{csv}", "--jobs", "2"]
 
 
+def _await_an_output_line(proc, tmp_path) -> None:
+    """Return once the temporary file of ``proc``'s ``--out tmp_path/out.jsonl``
+    holds a line, so the run is writing; fail if it exits or 60 s pass first."""
+    deadline = time.monotonic() + 60
+    while not any(tmp.stat().st_size for tmp in tmp_path.glob(".out.jsonl.*.tmp")):
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            proc.wait(timeout=0.01)
+        assert proc.returncode is None, proc.stderr.read()
+        assert time.monotonic() < deadline, "no output line within 60 s"
+
+
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
 @pytest.mark.parametrize("argv, signum, expected", [
     (_SYNTH_ARGV, signal.SIGINT, (EXIT_INTERRUPTED, b"error: interrupted\n")),
@@ -1115,27 +1132,57 @@ def test_ctrl_c_exits_130_and_leaves_no_file(argv, signum, expected, tmp_path):
     proc = subprocess.Popen([sys.executable, "-m", "taco.cli", *argv, "--out", str(out)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=_taco_env(), start_new_session=True)
-    deadline = time.monotonic() + 60
     try:
-        while not any(tmp.stat().st_size for tmp in tmp_path.glob(".out.jsonl.*.tmp")):
-            with contextlib.suppress(subprocess.TimeoutExpired):
-                proc.wait(timeout=0.01)
-            assert proc.returncode is None, proc.stderr.read()
-            assert time.monotonic() < deadline, "no output line within 60 s"
+        _await_an_output_line(proc, tmp_path)
         if signum == signal.SIGINT:
             os.killpg(proc.pid, signum)
         else:
             os.kill(proc.pid, signum)
-        _, err = proc.communicate(timeout=60)
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            err = None  # the clean-up below kills the run and keeps its stderr
     finally:
         if proc.returncode is None:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
+            _, stuck = proc.communicate()
+    # a run that lost the signal shows where, say an "Exception ignored in" line
+    assert err is not None, ("still running 60 s after the signal; stderr:\n"
+                             + stuck.decode(errors="replace"))
     assert (proc.returncode, err) == expected
     assert [path.name for path in tmp_path.iterdir() if "out.jsonl" in path.name] == []
     with pytest.raises(ProcessLookupError):  # the pool's workers are gone too
         os.killpg(proc.pid, 0)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_pool_workers_exit_when_the_cli_is_killed(tmp_path):
+    # SIGKILL leaves the CLI no way to shut its pool down; each worker sees
+    # its parent gone and exits, so the run's process group empties.  The
+    # temporary --out file stays, since no code runs to remove it.
+    argv = [arg.format(csv=_sine_csv(tmp_path / "sines.csv", 400)) for arg in _DATASET_ARGV]
+    proc = subprocess.Popen([sys.executable, "-m", "taco.cli", *argv,
+                             "--out", str(tmp_path / "out.jsonl")],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            env=_taco_env(), start_new_session=True)
+    try:
+        _await_an_output_line(proc, tmp_path)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)  # reaped, so only its workers can hold the group
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail("pool workers outlived the killed CLI by 10 s")
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()  # the workers, killed, no longer hold its stderr
 
 
 def test_an_ignored_stop_signal_stays_ignored_during_a_run(monkeypatch):
@@ -1173,13 +1220,8 @@ def test_a_hangup_does_not_stop_a_run_that_ignores_it(tmp_path):
                                 env=_taco_env(), start_new_session=True)
     finally:
         signal.signal(signal.SIGHUP, saved)
-    deadline = time.monotonic() + 60
     try:
-        while not any(tmp.stat().st_size for tmp in tmp_path.glob(".out.jsonl.*.tmp")):
-            with contextlib.suppress(subprocess.TimeoutExpired):
-                proc.wait(timeout=0.01)
-            assert proc.returncode is None, proc.stderr.read()
-            assert time.monotonic() < deadline, "no output line within 60 s"
+        _await_an_output_line(proc, tmp_path)
         os.killpg(proc.pid, signal.SIGHUP)
         _, err = proc.communicate(timeout=120)
     finally:

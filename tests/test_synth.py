@@ -9,7 +9,9 @@ from taco.signal import minmax_normalize
 from taco.synth import (
     OVERLAY_NAMES,
     SHAPE_NAMES,
+    SPIKE_EDGE_MARGIN,
     SynthSpec,
+    _spike_positions,
     forward_caption,
     generate,
     sample_spec,
@@ -73,6 +75,22 @@ def test_spikes_avoid_edges():
     spiked = np.nonzero(values != values[0])[0]
     assert spiked.size == 5
     assert spiked.min() >= 20 and spiked.max() < 980
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 300, 2048])
+def test_spike_positions_draw_as_from_the_candidate_array(n):
+    # choice on the count of candidates picks the indices that choice on the
+    # candidate array picks, and leaves the generator in the same state
+    margin = max(1, int(round(SPIKE_EDGE_MARGIN * n)))
+    for count in range(8):
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            candidates = np.arange(margin, n - margin)
+            expected = np.sort(ref.choice(candidates, size=min(count, candidates.size),
+                                          replace=False))
+            got = _spike_positions(rng, n, count)
+            assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+            assert rng.random() == ref.random()
 
 
 def test_posneg_spikes_go_both_ways():
