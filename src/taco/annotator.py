@@ -201,13 +201,23 @@ def assign_classes(scores: ScoreVector, cfg: ThresholdConfig) -> set[TimeSeriesC
 
 def config_digest(params: DetectorParams, cfg: ThresholdConfig) -> str:
     """Stable short hash of detector params plus threshold rules."""
-    import hashlib  # here, so that starting the CLI does not load it
+    # The interpreter's built-in SHA-256, not hashlib's: importing hashlib
+    # loads _hashlib and with it OpenSSL's libcrypto, 3.6 MB of resident set
+    # for one hash per run.  It is the same algorithm, so the same digest;
+    # hashlib is the fallback for builds without the built-in module.
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
     payload = json.dumps(
         {"params": params.to_json_dict(), "thresholds": cfg.to_json_dict()},
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

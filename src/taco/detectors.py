@@ -23,6 +23,7 @@ from .errors import Degenerate, InvalidArgument, TooShort
 from .signal import (
     MIN_SERIES_LEN,
     autocorrelation,
+    grid,
     median_filter,
     moving_average,
     polyfit,
@@ -176,8 +177,8 @@ def _segments(V: np.ndarray, p: DetectorParams) -> np.ndarray:
 
 
 def _trend(V: np.ndarray) -> list:
-    dt = np.linspace(0.0, 1.0, V.shape[1])
-    dt -= dt.mean()
+    t = grid(V.shape[1])
+    dt = t - t.mean()
     tt = float(np.dot(dt, dt))
     return [min(1.0, max(-1.0, float(np.dot(dt, dv)) / math.sqrt(tt * float(np.dot(dv, dv)))))
             for dv in V - V.mean(axis=1, keepdims=True)]

@@ -1,9 +1,8 @@
 """Core signal types, preprocessing and shared numeric kernels.
 
 All operations are pure functions of their inputs.  Signals live on an
-implicit uniform timestamp grid over [0, 1] (``numpy.linspace(0, 1, n)``);
-no explicit timestamps are ever carried around.  Error scores are always
-per-point means so that one threshold works across series lengths.
+implicit uniform timestamp grid over [0, 1] (:func:`grid`); no explicit
+timestamps are ever carried around.  Error scores are always per-point means so that one threshold works across series lengths.
 """
 
 from __future__ import annotations
@@ -19,6 +18,15 @@ from .errors import MIN_SERIES_LEN, Degenerate, InvalidArgument, InvalidSignal, 
 #: Largest scratch block, in bytes, that :func:`median_filter` copies windows
 #: of ranks into at once; small enough to stay in cache and never page-fault.
 MEDIAN_BLOCK_BYTES = 64 * 1024
+
+
+@lru_cache(maxsize=8)
+def grid(n: int) -> np.ndarray:
+    """The uniform timestamp grid of ``n`` points, ``numpy.linspace(0, 1, n)``.
+    Shared by every caller, so read-only."""
+    t = np.linspace(0.0, 1.0, n)
+    t.flags.writeable = False
+    return t
 
 
 def signal_values(s) -> np.ndarray:
@@ -122,7 +130,7 @@ def resample_linear(s, target_len: int) -> np.ndarray:
     if v.size < 2:
         raise InvalidArgument("need at least 2 samples to resample")
     lo, hi = _finite_range(v)
-    out = np.interp(np.linspace(0.0, 1.0, target_len), np.linspace(0.0, 1.0, v.size), v)
+    out = np.interp(grid(target_len), grid(v.size), v)
     if not np.all(np.isfinite(out)):  # a slope past the float64 range
         raise InvalidSignal(f"signal range [{lo!r}, {hi!r}] overflows float64 when resampled")
     return out
@@ -153,11 +161,11 @@ def _fit_design(n: int, degree: int) -> tuple:
     """``(t, lhs, scale, rcond)`` exactly as ``np.polyfit(t, v, degree)`` builds
     them on every call: the grid, the column-scaled Vandermonde matrix, its
     column norms and the rank cutoff.  Shared by every caller, so read-only."""
-    t = np.linspace(0.0, 1.0, n)
+    t = grid(n)
     lhs = np.vander(t, degree + 1)
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
-    for a in (t, lhs, scale):
+    for a in (lhs, scale):
         a.flags.writeable = False
     return t, lhs, scale, n * np.finfo(float).eps
 

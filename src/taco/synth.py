@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidArgument, InvalidSpec
-from .signal import moving_average
+from .signal import grid, moving_average
 
 DEFAULT_LENGTH = 2048
 
@@ -276,7 +276,7 @@ def forward_class_names(spec: SynthSpec) -> list[str]:
 def generate(spec: SynthSpec) -> SynthRecord:
     """Evaluate a spec into a signal, fully determined by the spec itself."""
     _validate_spec(spec)
-    t = np.linspace(0.0, 1.0, spec.length)
+    t = grid(spec.length)
     values = np.asarray(_SHAPES[spec.base_shape].evaluate(t, spec.shape_params), dtype=float)
     rng = np.random.default_rng(spec.seed)
     for name, overlay in _OVERLAYS.items():

@@ -1,7 +1,9 @@
 """Class assignment, config validation and annotation-level invariants."""
 
+import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -254,6 +256,25 @@ def test_config_digest_changes_with_rules():
     other = dict(DEFAULT_RULES)
     other[TimeSeriesClass.RISING] = ClassRule("trend", "greater", 0.9)
     assert config_digest(PARAMS, CFG) != config_digest(PARAMS, ThresholdConfig(rules=other))
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")],
+                         ids=["builtin", "no-sha2", "hashlib-fallback"])
+def test_config_digest_matches_hashlib_on_every_import_branch(blocked, monkeypatch):
+    # the built-in SHA-256 module (_sha2 on 3.12+, _sha256 before) and the
+    # hashlib fallback give the same digest, so no record changes with the
+    # interpreter build
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    rules = dict(DEFAULT_RULES)
+    rules[TimeSeriesClass.SPIKY] = ClassRule("spike_pos", "greater", 0.25)
+    params = DetectorParams(k_segments=6, spike_sigma=2.5, step_kernel_fracs=(0.2, 0.4))
+    for p, cfg in ((PARAMS, CFG), (params, ThresholdConfig(rules=rules))):
+        payload = json.dumps({"params": p.to_json_dict(), "thresholds": cfg.to_json_dict()},
+                             sort_keys=True, separators=(",", ":"))
+        assert config_digest(p, cfg) == hashlib.sha256(payload.encode()).hexdigest()[:16]
+    # the default digest, as the README's record shows it
+    assert config_digest(PARAMS, CFG) == "f8f6afad68e930cb"
 
 
 def test_score_vector_json_sentinel_is_representable():

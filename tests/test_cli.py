@@ -961,14 +961,19 @@ SCORING_MODULES = ("taco.signal", "taco.detectors", "taco.annotator", "taco.pipe
      ("numpy", *SCORING_MODULES)),
     (["nearnbr", "--index", "train.jsonl", "--queries", "q.jsonl"],
      (*SCORING_MODULES, "hashlib")),
-    (["dataset", "--input", "d.csv", "--window", "64", "--target-len", "64"], ("numpy.ma",)),
+    (["dataset", "--input", "d.csv", "--window", "64", "--target-len", "64"],
+     ("numpy.ma", "hashlib", "_hashlib")),
+    (["annotate", "--input", "d.csv", "--window", "64", "--target-len", "64"],
+     ("numpy.ma", "hashlib", "_hashlib")),
     (["caption", "--input", "a.jsonl"], ("numpy", *SCORING_MODULES)),
-], ids=["import-cli", "caption-classes", "eval", "nearnbr", "dataset", "caption-input"])
+], ids=["import-cli", "caption-classes", "eval", "nearnbr", "dataset", "annotate",
+        "caption-input"])
 def test_commands_load_only_what_they_run(argv, absent, tmp_path):
     # the record layer needs only the standard library, so caption --classes
     # and eval load no numpy, nor does caption --input on rows that name
     # only time-series classes, as annotate rows do; nearnbr loads numpy but
-    # no scoring module; the spike score's median loads no numpy.ma
+    # no scoring module; the spike score's median loads no numpy.ma, and the
+    # config digest's SHA-256 loads neither hashlib nor OpenSSL
     write_jsonl([{"id": f"t{i}", "caption_base": f"the signal rises {i}",
                   "values": [float(i)] * 16} for i in range(5)], tmp_path / "train.jsonl")
     write_jsonl([{"id": f"t{i}", "caption_base": f"the signal falls {i}",

@@ -13,6 +13,7 @@ from taco.signal import (
     NormalizedSeries,
     Series,
     autocorrelation,
+    grid,
     median_filter,
     minmax_normalize,
     moving_average,
@@ -209,6 +210,14 @@ def test_polyfit_design_cache_is_read_only():
     for cached in _fit_design(64, 2)[:3]:
         with pytest.raises(ValueError):
             cached[0] = 1.0
+
+
+def test_grid_is_linspace_and_read_only():
+    # every caller shares the cached grid, so none may write to it
+    for n in (2, 64, 2048):
+        assert np.array_equal(grid(n), np.linspace(0.0, 1.0, n))
+        with pytest.raises(ValueError):
+            grid(n)[0] = 1.0
 
 
 def test_polyfit_nesting():
