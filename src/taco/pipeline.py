@@ -229,12 +229,27 @@ def _quiet_worker() -> None:
     A parent killed outright, as by SIGKILL, shuts nothing down, and a worker
     waiting on the call queue would wait for good: forked workers hold the
     write end of the queue's pipe themselves, so it never reads end-of-file.
-    So a daemon thread ends the worker once its parent process id changes."""
+    So a daemon thread ends the worker once its parent process id changes.
+
+    Left to the kernel, both workers of a two-worker pool often stayed on
+    one CPU for the whole run, each chunk taking twice its CPU time in wall
+    time.  So
+    worker k, in spawn order, moves to the k-th allowed CPU and at once gets
+    the whole allowed set back: where it starts is a hint, not a pin, and a
+    mask set by taskset or a cgroup is kept."""
+    import multiprocessing
     import os
     import signal
     import threading
     import time
 
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else ()
+    if len(allowed) > 1:
+        cpus = sorted(allowed)
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, [cpus[multiprocessing.current_process()._identity[-1]
+                                         % len(cpus)]])
+            os.sched_setaffinity(0, allowed)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for name in STOP_SIGNALS:
         if hasattr(signal, name) and callable(signal.getsignal(getattr(signal, name))):

@@ -4,12 +4,14 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import gc
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 
@@ -923,6 +925,20 @@ def test_cli_import_loads_no_pool_logging_or_hash_modules():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_exit_freezes_the_heap_but_main_leaves_the_collector_alone(tmp_path):
+    # a taco process skips the interpreter's final cyclic collection: the CLI
+    # freezes the heap at exit, not in main(), so a caller of main() keeps a
+    # normal collector until its own exit
+    probe = "import atexit, gc, taco.cli; atexit._run_exitfuncs(); print(gc.get_freeze_count())"
+    result = subprocess.run([sys.executable, "-c", probe], env=_taco_env(),
+                            capture_output=True, text=True, check=True)
+    assert int(result.stdout) > 0
+    frozen = gc.get_freeze_count()
+    assert main(["synth", "--count", "2", "--length", "64",
+                 "--out", str(tmp_path / "s.jsonl")]) == EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
 #: What a launch that runs no command must not load.
 NUMERIC_MODULES = ("numpy", "taco.signal", "taco.detectors", "taco.annotator",
                    "taco.pipeline", "taco.synth", "taco.evalkit")
@@ -1159,6 +1175,70 @@ def test_ctrl_c_exits_130_and_leaves_no_file(argv, signum, expected, tmp_path):
     assert [path.name for path in tmp_path.iterdir() if "out.jsonl" in path.name] == []
     with pytest.raises(ProcessLookupError):  # the pool's workers are gone too
         os.killpg(proc.pid, 0)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize("offset", [0.05, 0.2, 1.0])
+def test_ctrl_c_at_a_fixed_offset_into_synth_exits_130(offset, tmp_path):
+    # Ctrl-C at fixed times after the CLI is imported, from synth's own
+    # imports to its record loop: each ends with exit 130, one error line
+    # and no file.  A Ctrl-C while taco.cli itself imports comes before any
+    # handler, so the offsets count from a line printed once it has.
+    out = tmp_path / "out.jsonl"
+    launch = "import sys, taco.cli; print(flush=True); sys.exit(taco.cli.main(sys.argv[1:]))"
+    proc = subprocess.Popen([sys.executable, "-c", launch, *_SYNTH_ARGV, "--out", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_taco_env(), start_new_session=True)
+    try:
+        assert proc.stdout.readline() == b"\n"
+        time.sleep(offset)
+        os.killpg(proc.pid, signal.SIGINT)
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            err = None
+    finally:
+        if proc.returncode is None:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            _, stuck = proc.communicate()
+    assert err is not None, ("still running 60 s after the signal; stderr:\n"
+                             + stuck.decode(errors="replace"))
+    assert (proc.returncode, err) == (EXIT_INTERRUPTED, b"error: interrupted\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+#: How a command's code can lose the exception of a Ctrl-C that lands in it.
+_LOSSES = {
+    # numpy.random._generator's module set-up and importlib's module-lock
+    # callback swallow every exception
+    "swallowed": "try:\n    signal.raise_signal(signal.SIGINT)\nexcept BaseException:\n    pass",
+    # numpy's C import turns an interrupt into an ImportError
+    "converted": ("try:\n    signal.raise_signal(signal.SIGINT)\n"
+                  "except BaseException:\n    raise ImportError('numpy failed to import')"),
+    # under python -m, a bare KeyboardInterrupt that left an exec of source
+    # text, as dataclasses runs, ended the process by SIGINT at exit
+    "exec": "exec('signal.raise_signal(signal.SIGINT)')",
+}
+
+
+@pytest.mark.parametrize("loss", list(_LOSSES))
+def test_a_ctrl_c_the_command_loses_still_exits_130(loss, tmp_path):
+    # run under python -m, as a command whose code meets a Ctrl-C in a place
+    # that loses its exception; the run still exits 130 with one error line
+    # and puts no --out file in place
+    body = textwrap.indent(_LOSSES[loss], "    ")
+    (tmp_path / "lossy.py").write_text(
+        "import signal, sys\nimport taco.cli\n\n"
+        f"def command(args):\n{body}\n    yield from ['a line'] * 3\n\n"
+        "taco.cli._cmd_synth = command\nsys.exit(taco.cli.main())\n")
+    out = tmp_path / "out" / "out.jsonl"
+    out.parent.mkdir()
+    result = subprocess.run([sys.executable, "-m", "lossy", "synth", "--count", "1",
+                             "--out", str(out)],
+                            cwd=tmp_path, env=_taco_env(), capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr) == (EXIT_INTERRUPTED, b"error: interrupted\n")
+    assert list(out.parent.iterdir()) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")

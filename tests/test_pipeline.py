@@ -5,7 +5,9 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import os
 import signal
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -396,6 +398,42 @@ def test_pool_workers_drop_the_parents_stop_handlers(inherited, expected):
         for signum, old in saved.items():
             signal.signal(signum, old)
     assert dispositions == {(expected, expected)}
+
+
+#: The CPU sets this process passed to ``os.sched_setaffinity``, in order.
+_AFFINITY_CALLS = []
+_SET_AFFINITY = getattr(os, "sched_setaffinity", None)
+
+
+def _recording_set_affinity(pid, cpus):
+    _AFFINITY_CALLS.append(frozenset(cpus))
+    _SET_AFFINITY(pid, cpus)
+
+
+def _placements(chunk):
+    """``(pid, allowed CPUs, CPU sets it was given)`` of this worker, per item."""
+    time.sleep(0.02)  # so the other worker takes the next chunk
+    return [(os.getpid(), frozenset(os.sched_getaffinity(0)), tuple(_AFFINITY_CALLS))
+            for _ in chunk]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs Linux and 2 CPUs")
+def test_pool_workers_start_on_distinct_cpus_and_keep_the_full_mask(monkeypatch):
+    # left to the kernel, both workers of a 2-worker pool often ran on one
+    # CPU; each is moved to its own CPU of the allowed set, then gets the
+    # whole set back.  Where it runs next is the kernel's choice, which moves
+    # a worker off a CPU that another process keeps busy, so the test checks
+    # the moves rather than the CPU a chunk runs on.
+    monkeypatch.setattr(os, "sched_setaffinity", _recording_set_affinity)
+    mask = frozenset(os.sched_getaffinity(0))
+    reports = set(_ordered(_placements, range(3 * CHUNK_TASKS), jobs=2))
+    assert {allowed for _, allowed, _ in reports} == {mask}
+    moves = {pid: calls for pid, _, calls in reports}
+    assert len(moves) == 2
+    assert all(len(calls) == 2 and len(calls[0]) == 1 and calls[0] < mask and calls[1] == mask
+               for calls in moves.values()), moves
+    assert len({calls[0] for calls in moves.values()}) == 2, moves
 
 
 def test_pool_forks_where_the_platform_can(monkeypatch):
