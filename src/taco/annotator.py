@@ -21,7 +21,7 @@ from .captioner import CLASS_ORDER, TimeSeriesClass, sorted_classes
 from .detectors import SCORE_NAMES, DetectorParams, ScoreVector, _is_real, score_all
 from .errors import InvalidConfig
 from .records import load_json
-from .signal import NormalizedSeries, Series, minmax_normalize, signal_block
+from .signal import Series, minmax_normalize, signal_block
 
 
 #: Pairs of which at most one class may be assigned.
@@ -223,11 +223,11 @@ def config_digest(params: DetectorParams, cfg: ThresholdConfig) -> str:
 @dataclass(frozen=True)
 class Annotation:
     """Classes assigned to one series, with the scores that produced them
-    and the min-max normalised series those scores were taken on."""
+    and the min-max normalised series they were taken on, a read-only row view."""
 
     classes: frozenset
     scores: ScoreVector
-    normalized: NormalizedSeries = field(compare=False, repr=False)
+    normalized: np.ndarray = field(compare=False, repr=False)
 
     def class_names(self) -> list[str]:
         return [c.value for c in sorted_classes(self.classes)]
@@ -237,8 +237,8 @@ def annotate(s, p: DetectorParams | None = None, cfg: ThresholdConfig | None = N
     """Normalize, score and classify one raw series, or each row of a
     ``(B, n)`` block, which gives a list of annotations, one per row.
 
-    Each row is min-max normalised on its own, and the rows are scored by
-    one :func:`score_all` call.
+    The block is min-max normalised by one :func:`minmax_normalize` call,
+    made read-only and scored by one :func:`score_all` call.
     """
     if p is None:
         p = DetectorParams()
@@ -247,9 +247,9 @@ def annotate(s, p: DetectorParams | None = None, cfg: ThresholdConfig | None = N
     if not isinstance(s, Series) and not (isinstance(s, np.ndarray) and s.ndim == 2):
         s = Series(values=s)
     rows, one = signal_block(s)
-    normalized = [minmax_normalize(row) for row in rows]
-    scores = score_all(np.array([series.values for series in normalized]).reshape(rows.shape), p)
+    normalized = minmax_normalize(rows)
+    normalized.flags.writeable = False
     annotations = [Annotation(classes=frozenset(assign_classes(vector, cfg)), scores=vector,
-                              normalized=series)
-                   for vector, series in zip(scores, normalized)]
+                              normalized=row)
+                   for vector, row in zip(score_all(normalized, p), normalized)]
     return annotations[0] if one else annotations

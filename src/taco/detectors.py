@@ -414,7 +414,7 @@ def score_all(s, p: DetectorParams | None = None):
     if X.shape[1] < MIN_SERIES_LEN:
         raise TooShort(f"signal has {X.shape[1]} samples, need at least {MIN_SERIES_LEN}")
     live = np.ptp(X, axis=1) != 0.0
-    scored = iter(_score_rows(X[live], p) if live.any() else ())
+    scored = iter(_score_rows(X if live.all() else X[live], p) if live.any() else ())
     scores = [next(scored) if alive else DEGENERATE_SCORES for alive in live]
     return scores[0] if one else scores
 

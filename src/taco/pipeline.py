@@ -173,7 +173,7 @@ def _window_outcomes(windows, *, params, cfg, target_len, include_values, digest
                 id=item, source=item, classes=annotation.class_names(),
                 scores=annotation.scores.as_dict(),
                 caption_base=base_caption(annotation.classes), config_digest=digest,
-                values=annotation.normalized.values.tolist() if include_values else None)
+                values=annotation.normalized.tolist() if include_values else None)
             item = encode(item) if encode else item
         yield kind, item
 
@@ -200,10 +200,10 @@ def _synth_records(indices, *, master_seed, annotate_also, params, cfg, include_
             scores = annotation.scores.as_dict()
             kept = annotation.normalized
         else:
-            kept = minmax_normalize(synth.values) if include_values else None
+            kept = minmax_normalize(synth.values).values if include_values else None
         record = DatasetRecord(id=f"synth-{i:06d}", source="synth", classes=classes,
                                scores=scores, caption_base=caption, config_digest=digest,
-                               values=kept.values.tolist() if include_values else None)
+                               values=kept.tolist() if include_values else None)
         yield encode(record) if encode else record
 
 

@@ -95,20 +95,24 @@ class NormalizedSeries:
         return self.values.size
 
 
-def minmax_normalize(s) -> NormalizedSeries:
-    """Rescale a signal to [0, 1] via min-max scaling.
+def minmax_normalize(s):
+    """Rescale a signal to [0, 1] via min-max scaling (a :class:`NormalizedSeries`),
+    or each row of a ``(B, n)`` block on its own in one pass (a ``(B, n)`` array).
 
     A constant input cannot be rescaled; it maps to all zeros, on which the
     fits and correlations that are undefined on zero variance raise
     :class:`Degenerate`.
     """
-    v = signal_values(s)
-    if v.size == 0:
+    X, one = signal_block(s)
+    if X.shape[1] == 0:
         raise InvalidSignal("cannot normalize an empty signal")
-    lo, hi = _finite_range(v)
-    if hi == lo:
-        return NormalizedSeries(np.zeros_like(v))
-    return NormalizedSeries((v - lo) / (hi - lo))
+    lo = X.min(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = X.max(axis=1, keepdims=True) - lo
+    if not np.isfinite(span).all():  # NaN, infinity or a range past float64
+        _finite_range(X[np.isfinite(span[:, 0]).argmin()])  # raises on the first bad row
+    out = (X - lo) / np.where(span == 0.0, 1.0, span)  # a constant row is all 0 / 1
+    return NormalizedSeries(out[0]) if one else out
 
 
 def _finite_range(v: np.ndarray) -> tuple[float, float]:

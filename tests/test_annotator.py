@@ -22,9 +22,10 @@ from taco.annotator import (
     default_config,
     load_config,
 )
-from taco.detectors import DEGENERATE_SCORES, DetectorParams, ScoreVector
+from taco.detectors import DEGENERATE_SCORES, DetectorParams, ScoreVector, _find_cycle_lag
 from taco.errors import InvalidConfig, TooShort
-from taco.signal import Series, minmax_normalize
+from taco.signal import Series, autocorrelation, minmax_normalize
+from taco.synth import generate, sample_spec
 
 CFG = default_config()
 PARAMS = DetectorParams()
@@ -220,7 +221,7 @@ def test_annotate_deterministic():
 def test_annotation_keeps_the_series_it_scored():
     v = np.random.default_rng(63).normal(size=512)
     annotation = annotate(v, PARAMS, CFG)
-    assert annotation.normalized.values.tobytes() == minmax_normalize(v).values.tobytes()
+    assert annotation.normalized.tobytes() == minmax_normalize(v).values.tobytes()
 
 
 def test_annotate_affine_invariance_of_classes():
@@ -243,6 +244,49 @@ def test_annotate_reversal_duality():
         bwd = annotate(Series(values=v[::-1]), PARAMS, CFG).classes
         assert TimeSeriesClass.RISING in fwd
         assert TimeSeriesClass.FALLING in bwd
+
+
+#: The class each negation-paired class becomes when a signal is negated.
+NEGATED = {
+    TimeSeriesClass.RISING: TimeSeriesClass.FALLING,
+    TimeSeriesClass.FALLING: TimeSeriesClass.RISING,
+    TimeSeriesClass.CONVEX: TimeSeriesClass.CONCAVE,
+    TimeSeriesClass.CONCAVE: TimeSeriesClass.CONVEX,
+    TimeSeriesClass.SPIKY: TimeSeriesClass.DROPOUT,
+    TimeSeriesClass.DROPOUT: TimeSeriesClass.SPIKY,
+}
+
+
+def _seed1_signals(indices) -> np.ndarray:
+    """Forward signals ``i`` of master seed 1, one per row, as ``synth`` draws them."""
+    return np.array([generate(sample_spec(np.random.SeedSequence(entropy=(1, i)))).values
+                     for i in indices])
+
+
+def test_negation_mirrors_the_paired_classes():
+    X = _seed1_signals(range(300))
+    for start in range(0, len(X), 50):  # 50 rows a block keeps the scratch memory small
+        block = X[start:start + 50]
+        pairs = zip(annotate(block, PARAMS, CFG), annotate(-block, PARAMS, CFG))
+        mismatched = [start + i for i, (ann, neg) in enumerate(pairs)
+                      if neg.classes != {NEGATED.get(c, c) for c in ann.classes}]
+        assert mismatched == []
+
+
+def test_near_tie_signals_keep_their_cycle_lags_and_curvature_sign():
+    # Scores that sit on a near-tie: under 1e-3x - 5, which moves the
+    # normalised values of signal 22 by at most 4.4e-13, its cycle lag went
+    # from 925 to 1005 and signal 202's from 690 to 659, and signal 177's
+    # curvature_sign flipped from 1 to -1.  A kernel change that moves the
+    # autocorrelation's or the quadratic fit's last bits fails here.
+    a22, a202, a177 = annotate(_seed1_signals([22, 202, 177]), PARAMS, CFG)
+    assert [_find_cycle_lag(autocorrelation(a.normalized)) for a in (a22, a202)] == [925, 690]
+    assert a177.scores.curvature_sign == 1
+    assert [a.class_names() for a in (a22, a202, a177)] == [
+        ["Rising", "Nonlinear", "Simple", "Aperiodic", "Asymmetry", "Step", "HighAmplitude"],
+        ["Rising", "Nonlinear", "Simple", "Aperiodic", "Asymmetry"],
+        ["Falling", "Linear", "Smooth", "Simple", "Aperiodic", "Asymmetry", "LowAmplitude"],
+    ]
 
 
 def test_annotation_carries_digest_and_names():

@@ -339,23 +339,30 @@ def test_jsonl_infinite_scores_serialized_as_null(tmp_path):
 
 
 def test_each_annotated_record_is_normalised_once(tmp_path, monkeypatch):
-    # annotate normalises the signal it scores, and the record keeps that series
-    calls = []
+    # annotate normalises each chunk's block in one call and scores that block;
+    # each record keeps its row.  A plain forward record is normalised alone.
+    calls, outputs = [], []
     for module in (taco.annotator, taco.pipeline):
-        def counted(s, original=module.minmax_normalize):
-            calls.append(s)
-            return original(s)
+        def counted(s, original=module.minmax_normalize, name=module.__name__):
+            calls.append((name, np.shape(s)))
+            outputs.append(original(s))
+            return outputs[-1]
         monkeypatch.setattr(module, "minmax_normalize", counted)
     path = tmp_path / "x.csv"
     write_csv(path, {"a": list(np.sin(np.arange(900.0) / 7.0))})
     records, _ = build_dataset(IngestSpec(inputs=(path,), window_len=300, target_len=512))
-    assert len(calls) == len(records) == 3
+    assert calls == [("taco.annotator", (3, 512))]
+    assert [record.values for record in records] == outputs[0].tolist()
     calls.clear()
+    outputs.clear()
     records, _ = build_forward_dataset(4, master_seed=7, annotate_also=True, length=256)
-    assert len(calls) == len(records) == 4
+    assert calls == [("taco.annotator", (4, 256))]
+    assert [record.values for record in records] == outputs[0].tolist()
     calls.clear()
+    outputs.clear()
     records, _ = build_forward_dataset(4, master_seed=7, length=256)
-    assert len(calls) == len(records) == 4
+    assert calls == [("taco.pipeline", (256,))] * 4
+    assert [record.values for record in records] == [out.values.tolist() for out in outputs]
 
 
 def _sigint_dispositions(chunk):

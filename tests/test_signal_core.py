@@ -1,10 +1,12 @@
 """Core signal operations against independent oracles and invariants."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from taco.annotator import annotate
 from taco.detectors import DetectorParams, _find_cycle_lag
 from taco.errors import Degenerate, InvalidArgument, InvalidSignal, TooShort
 from taco.signal import (
@@ -85,6 +87,43 @@ def test_range_past_float64_is_named():
     steep[1] = 1e306  # the range fits, the slope 1e306 * 299 does not
     with pytest.raises(InvalidSignal, match=r"\[0.0, 1e\+306\] overflows float64 when resampled"):
         resample_linear(steep, 2048)
+
+
+def test_block_normalize_matches_the_per_row_formula_bit_for_bit():
+    rng = np.random.default_rng(26)
+    scales = 10.0 ** np.linspace(-300.0, 300.0, 200)
+    X = (rng.normal(size=(200, 64)) + rng.normal(size=(200, 1))) * scales[:, None]
+    X = np.vstack([X, np.full((1, 64), 3.5)])
+    expected = []
+    for v in X:
+        lo, hi = v.min(), v.max()
+        expected.append(np.zeros_like(v) if hi == lo else (v - lo) / (hi - lo))
+    out = minmax_normalize(X)
+    assert out.shape == X.shape
+    assert out.tobytes() == np.array(expected).tobytes()
+    assert not out[-1].any()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([1.0, np.nan, 2.0, 3.0], "signal contains NaN or infinite samples"),
+    ([1.0, np.inf, 2.0, 3.0], "signal contains NaN or infinite samples"),
+    ([1e308, -1e308, 1e308, -1e308], "signal range [-1e+308, 1e+308] overflows float64"),
+])
+def test_block_normalize_names_a_bad_row_as_one_signal_does(bad, message):
+    X = np.array([[0.0, 1.0, 2.0, 3.0], bad, [1e308, -1e308, 0.0, np.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSignal) as block:
+            minmax_normalize(X)
+        with pytest.raises(InvalidSignal) as one:
+            minmax_normalize(bad)
+    assert str(block.value) == str(one.value) == message
+
+
+def test_annotated_series_is_read_only():
+    normalized = annotate(np.random.default_rng(27).normal(size=256)).normalized
+    with pytest.raises(ValueError):
+        normalized[0] = 0.5
 
 
 # ---------------------------------------------------------------------------
