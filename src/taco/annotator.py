@@ -21,7 +21,7 @@ from .captioner import CLASS_ORDER, TimeSeriesClass, sorted_classes
 from .detectors import SCORE_NAMES, DetectorParams, ScoreVector, _is_real, score_all
 from .errors import InvalidConfig
 from .records import load_json
-from .signal import Series, minmax_normalize, signal_block
+from .signal import minmax_normalize, signal_block
 
 
 #: Pairs of which at most one class may be assigned.
@@ -244,8 +244,6 @@ def annotate(s, p: DetectorParams | None = None, cfg: ThresholdConfig | None = N
         p = DetectorParams()
     if cfg is None:
         cfg = default_config()
-    if not isinstance(s, Series) and not (isinstance(s, np.ndarray) and s.ndim == 2):
-        s = Series(values=s)
     rows, one = signal_block(s)
     normalized = minmax_normalize(rows)
     normalized.flags.writeable = False

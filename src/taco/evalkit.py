@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
 
-from .errors import AlignmentError, EmptyIndex, InvalidArgument, ParseError, TacoError
+from .errors import (AlignmentError, EmptyIndex, InvalidArgument, InvalidSignal, ParseError,
+                     TacoError)
 from .records import FLOATLESS_DECODER, iter_jsonl
 
 #: Metric keys reserved in reports for scores computed by external tools.
@@ -340,15 +341,21 @@ def nearest_rows(index: TrainIndex, queries: np.ndarray) -> tuple[list, list]:
 def nearnbr_caption(query, index: TrainIndex) -> tuple[str, str, float]:
     """Caption of the index entry nearest to the query in mean squared error.
 
-    Exact; ties break to the lowest index position.  The query must already
-    be resampled/normalized to the index vector length.
+    Exact; ties break to the lowest index position.  The query, resampled and
+    normalized to the index length, must be finite, as must its MSE (:class:`InvalidSignal`).
     """
+    import numpy as np
+
     from .signal import signal_values
 
     if len(index) == 0:
         raise EmptyIndex("retrieval index is empty")
     q = _check_width(signal_values(query), index)
+    if not np.isfinite(q).all():
+        raise InvalidSignal("signal contains NaN or infinite samples")
     (best,), (mse,) = nearest_rows(index, q[None, :])
+    if not math.isfinite(mse):
+        raise InvalidSignal("query too far from every entry: its mean squared error overflows")
     return index.captions[best], index.ids[best], mse
 
 

@@ -153,29 +153,24 @@ def ingest_csv(spec: IngestSpec):
 def _window_outcomes(windows, *, params, cfg, target_len, include_values, digest, encode):
     """Resample a chunk of windows into one block, then annotate and caption it.
 
-    Yields one outcome per window, in order: ``("ok", record)``, the record
-    encoded when ``encode`` is given, or ``("skip", {"source", "reason"})``
-    for a window that cannot be resampled.
+    Yields a ``{"source", "reason"}`` dict as soon as a window fails to
+    resample, then each other window's record (never a dict) in window order,
+    encoded when ``encode`` is given.
     """
-    outcomes, rows = [], []
+    tags, rows = [], []
     for tag, values in windows:
         try:
             rows.append(resample_linear(values, target_len))
+            tags.append(tag)
         except TacoError as exc:
-            outcomes.append(("skip", {"source": tag, "reason": f"{type(exc).__name__}: {exc}"}))
-        else:
-            outcomes.append(("ok", tag))
-    annotations = iter(annotate(np.array(rows), params, cfg) if rows else ())
-    for kind, item in outcomes:
-        if kind == "ok":
-            annotation = next(annotations)
-            item = DatasetRecord(
-                id=item, source=item, classes=annotation.class_names(),
-                scores=annotation.scores.as_dict(),
-                caption_base=base_caption(annotation.classes), config_digest=digest,
-                values=annotation.normalized.tolist() if include_values else None)
-            item = encode(item) if encode else item
-        yield kind, item
+            yield {"source": tag, "reason": f"{type(exc).__name__}: {exc}"}
+    for tag, annotation in zip(tags, annotate(np.array(rows), params, cfg) if rows else ()):
+        record = DatasetRecord(
+            id=tag, source=tag, classes=annotation.class_names(),
+            scores=annotation.scores.as_dict(),
+            caption_base=base_caption(annotation.classes), config_digest=digest,
+            values=annotation.normalized.tolist() if include_values else None)
+        yield encode(record) if encode else record
 
 
 def _synth_records(indices, *, master_seed, annotate_also, params, cfg, include_values,
@@ -200,7 +195,7 @@ def _synth_records(indices, *, master_seed, annotate_also, params, cfg, include_
             scores = annotation.scores.as_dict()
             kept = annotation.normalized
         else:
-            kept = minmax_normalize(synth.values).values if include_values else None
+            kept = minmax_normalize(synth.values[None])[0] if include_values else None
         record = DatasetRecord(id=f"synth-{i:06d}", source="synth", classes=classes,
                                scores=scores, caption_base=caption, config_digest=digest,
                                values=kept.tolist() if include_values else None)
@@ -331,11 +326,11 @@ def iter_dataset(spec: IngestSpec, skips: list, params: DetectorParams | None = 
     worker = partial(_window_outcomes, params=params, cfg=cfg, target_len=spec.target_len,
                      include_values=include_values, digest=config_digest(params, cfg),
                      encode=encode)
-    for kind, item in _ordered(worker, ingest_csv(spec), jobs):
-        if kind == "ok":
-            yield item
-        else:
+    for item in _ordered(worker, ingest_csv(spec), jobs):
+        if isinstance(item, dict):
             skips.append(item)
+        else:
+            yield item
 
 
 def build_dataset(spec: IngestSpec, params: DetectorParams | None = None,

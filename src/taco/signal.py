@@ -30,18 +30,19 @@ def grid(n: int) -> np.ndarray:
 
 
 def signal_values(s) -> np.ndarray:
-    """Coerce a Series/NormalizedSeries/array-like to a float64 1-D array."""
+    """Coerce a Series/NormalizedSeries/array-like to a float64 1-D array;
+    any other shape, a block too, raises :class:`InvalidSignal`."""
     if isinstance(s, (Series, NormalizedSeries)):
         return s.values
     out = np.asarray(s, dtype=float)
     if out.ndim != 1:
-        out = out.reshape(-1)
+        raise InvalidSignal(f"expected a 1-D signal, got shape {out.shape}")
     return out
 
 
 def signal_block(s) -> tuple[np.ndarray, bool]:
-    """``(X, one)``: a 2-D array as the float64 ``(B, n)`` block it is, or any
-    other signal (see :func:`signal_values`) as a one-row block, ``one`` true."""
+    """``(X, one)``: a 2-D ``ndarray`` as the float64 ``(B, n)`` block it is, or
+    any other signal, 1-D (see :func:`signal_values`), as a one-row block, ``one`` true."""
     if isinstance(s, np.ndarray) and s.ndim == 2:
         return s.astype(float, copy=False), False
     return signal_values(s)[None], True
@@ -59,10 +60,8 @@ class Series:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = signal_values(self.values)
         object.__setattr__(self, "values", v)
-        if v.ndim != 1:
-            raise InvalidSignal(f"expected a 1-D signal, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise InvalidSignal("signal contains NaN or infinite samples")
         if v.size < MIN_SERIES_LEN:
@@ -77,14 +76,14 @@ class Series:
 class NormalizedSeries:
     """A signal rescaled to the unit interval.
 
-    Output of :func:`minmax_normalize`: the values span [0, 1] exactly,
-    except that a constant source maps to all zeros.
+    Output of :func:`minmax_normalize`: 1-D values (see :func:`signal_values`)
+    that span [0, 1] exactly, except that a constant source maps to all zeros.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = signal_values(self.values)
         object.__setattr__(self, "values", v)
         if not np.all(np.isfinite(v)):
             raise InvalidSignal("normalized signal contains non-finite samples")

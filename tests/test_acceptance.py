@@ -24,7 +24,8 @@ from taco.detectors import (
     score_step,
 )
 from taco.evalkit import TrainIndex, bleu_n, evaluate_corpus, nearnbr_caption, rouge_l
-from taco.pipeline import IngestSpec, build_dataset, write_jsonl
+from taco.pipeline import IngestSpec, build_dataset
+from taco.records import write_jsonl
 from taco.signal import Series, minmax_normalize, polyfit
 from taco.synth import SynthSpec, generate
 

@@ -32,7 +32,7 @@ from taco.cli import (
     main,
 )
 from taco.evalkit import QUERY_BLOCK
-from taco.pipeline import read_jsonl, write_jsonl
+from taco.records import read_jsonl, write_jsonl
 
 from conftest import MockLLMHandler
 

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from taco.errors import AlignmentError, EmptyIndex, InvalidArgument, ParseError
+from taco.errors import AlignmentError, EmptyIndex, InvalidArgument, InvalidSignal, ParseError
 from taco.evalkit import (
     EXTERNAL_METRIC_KEYS,
     QUERY_BLOCK,
@@ -216,6 +216,16 @@ def test_nearnbr_length_mismatch():
         nearnbr_caption(np.zeros(8), index)
 
 
+@pytest.mark.parametrize("query, message", [
+    ([np.nan, 1.0, 1.0, 1.0], "signal contains NaN or infinite samples"),
+    ([1e300] * 4, "its mean squared error overflows"),
+])
+def test_nearnbr_refuses_a_non_finite_query_or_mse(query, message):
+    # either would give a NaN or infinite MSE, which write_jsonl refuses
+    with pytest.raises(InvalidSignal, match=message):
+        nearnbr_caption(query, make_index([np.zeros(4)]))
+
+
 def assert_matches_oracle(vectors, queries):
     index = make_index(vectors)
     queries = np.asarray(queries, dtype=float)
@@ -223,6 +233,10 @@ def assert_matches_oracle(vectors, queries):
     expected = [nearnbr_oracle(q, index.matrix) for q in queries]
     assert list(zip(positions, mses)) == expected
     for q, (position, mse) in zip(queries, expected):
+        if not math.isfinite(mse):  # nearnbr_caption refuses what write_jsonl would
+            with pytest.raises(InvalidSignal, match="mean squared error overflows"):
+                nearnbr_caption(q, index)
+            continue
         caption, neighbor, one_mse = nearnbr_caption(q, index)
         assert (caption, neighbor, one_mse) == (f"caption {position}",
                                                  f"train-{position}", mse)

@@ -23,16 +23,14 @@ from taco.detectors import DetectorParams
 from taco.errors import InvalidArgument, ParseError
 from taco.pipeline import (
     CHUNK_TASKS,
-    DatasetRecord,
     IngestSpec,
     build_dataset,
     build_forward_dataset,
     in_order,
     ingest_csv,
     _ordered,
-    read_jsonl,
-    write_jsonl,
 )
+from taco.records import DatasetRecord, read_jsonl, write_jsonl
 
 
 def write_csv(path, columns: dict):
@@ -209,6 +207,23 @@ def test_build_dataset_skips_bad_window_and_conserves(tmp_path):
     assert len(records) + len(skips) == len(windows)
 
 
+def test_skips_between_records_keep_window_order_at_every_jobs(tmp_path):
+    # a chunk yields its skips as they happen, then its records: the first
+    # chunk skips windows 0, 3 and 7 around its records, the second window 10
+    values = np.sin(np.arange(20 * 32) / 5.0)
+    for window in (0, 3, 7, 10):
+        values[32 * window + 9] = np.nan
+    path = tmp_path / "x.csv"
+    write_csv(path, {"v": list(values)})
+    spec = IngestSpec(inputs=(path,), window_len=32, target_len=64)
+    built = [build_dataset(spec, jobs=jobs) for jobs in (1, 2)]  # 20 windows: 3 chunks
+    assert built[0] == built[1]
+    records, skips = built[0]
+    assert [skip["source"] for skip in skips] == [f"x.csv#v#{w}" for w in (0, 3, 7, 10)]
+    assert [record.id for record in records] == [
+        f"x.csv#v#{w}" for w in range(20) if w not in (0, 3, 7, 10)]
+
+
 def test_build_dataset_caption_roundtrip(ramp_csv):
     records, _ = build_dataset(IngestSpec(inputs=(ramp_csv,)))
     record = records[0]
@@ -340,7 +355,8 @@ def test_jsonl_infinite_scores_serialized_as_null(tmp_path):
 
 def test_each_annotated_record_is_normalised_once(tmp_path, monkeypatch):
     # annotate normalises each chunk's block in one call and scores that block;
-    # each record keeps its row.  A plain forward record is normalised alone.
+    # each record keeps its row.  A plain forward record is normalised alone,
+    # as a one-row view, so no NormalizedSeries re-scans it.
     calls, outputs = [], []
     for module in (taco.annotator, taco.pipeline):
         def counted(s, original=module.minmax_normalize, name=module.__name__):
@@ -361,8 +377,8 @@ def test_each_annotated_record_is_normalised_once(tmp_path, monkeypatch):
     calls.clear()
     outputs.clear()
     records, _ = build_forward_dataset(4, master_seed=7, length=256)
-    assert calls == [("taco.pipeline", (256,))] * 4
-    assert [record.values for record in records] == [out.values.tolist() for out in outputs]
+    assert calls == [("taco.pipeline", (1, 256))] * 4
+    assert [record.values for record in records] == [out[0].tolist() for out in outputs]
 
 
 def _sigint_dispositions(chunk):

@@ -1,14 +1,17 @@
 """Core signal operations against independent oracles and invariants."""
 
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import taco.detectors as detectors
 from taco.annotator import annotate
-from taco.detectors import DetectorParams, _find_cycle_lag
+from taco.detectors import DetectorParams, _find_cycle_lag, score_all
 from taco.errors import Degenerate, InvalidArgument, InvalidSignal, TooShort
+from taco.evalkit import TrainIndex, nearnbr_caption
 from taco.signal import (
     MEDIAN_BLOCK_BYTES,
     MIN_SERIES_LEN,
@@ -472,6 +475,43 @@ def test_autocorrelation_degenerate():
 # ---------------------------------------------------------------------------
 # Series construction
 # ---------------------------------------------------------------------------
+
+BLOCK = np.tile(np.linspace(0.0, 1.0, 300), (2, 1))
+PARAMS = DetectorParams()
+ONE_D_ONLY = {
+    "resample_linear": lambda s: resample_linear(s, 512),
+    "polyfit": lambda s: polyfit(s, 1),
+    "moving_average": lambda s: moving_average(s, 3),
+    **{f"score_{name}": lambda s, name=name: getattr(detectors, f"score_{name}")(s)
+       for name in ("trend", "curvature", "linearity")},
+    **{f"score_{name}": lambda s, name=name: getattr(detectors, f"score_{name}")(s, PARAMS)
+       for name in ("constancy", "smooth", "noise", "complexity", "periodicity",
+                    "symmetry", "step", "amplitude")},
+    "score_spikes": lambda s: detectors.score_spikes(s, PARAMS, "up"),
+    "nearnbr_caption": lambda s: nearnbr_caption(
+        s, TrainIndex(ids=["a"], matrix=np.zeros((1, BLOCK.size)), captions=["c"])),
+    "NormalizedSeries": lambda s: NormalizedSeries(values=s),
+    "Series": lambda s: Series(values=s),
+}
+BLOCK_KERNELS = {
+    "score_all": score_all,
+    "minmax_normalize": minmax_normalize,
+    "median_filter": lambda s: median_filter(s, 3),
+}
+
+
+@pytest.mark.parametrize("call, signal", [
+    *[pytest.param(call, BLOCK, id=f"{name}-block") for name, call in ONE_D_ONLY.items()],
+    *[pytest.param(call, bad, id=f"{name}-{kind}") for name, call in BLOCK_KERNELS.items()
+      for kind, bad in (("list-2d", BLOCK.tolist()), ("array-3d", BLOCK[None]))],
+])
+def test_a_signal_is_1d_and_a_block_a_2d_ndarray(call, signal):
+    # one rule refuses the shape; nothing flattens it into one long signal
+    shape = np.shape(signal)
+    message = re.escape(f"expected a 1-D signal, got shape {shape}")
+    with pytest.raises(InvalidSignal, match=message):
+        call(signal)
+
 
 def test_series_rejects_short_and_non_finite():
     with pytest.raises(TooShort):
