@@ -54,7 +54,8 @@ RULE_SCORE_NAMES = frozenset(SCORE_NAMES) | {"curvature_signed"}
 
 @dataclass(frozen=True)
 class ClassRule:
-    """Fire the class when ``score <direction> cutoff``."""
+    """Fire the class when ``score <direction> cutoff``; the cutoff, any
+    finite real number but a bool, is stored as a float."""
 
     score: str
     direction: str  # "greater" | "less"
@@ -62,12 +63,17 @@ class ClassRule:
 
     def __post_init__(self):
         if not isinstance(self.score, str) or self.score not in RULE_SCORE_NAMES:
-            raise InvalidConfig(f"rule references unknown score {self.score!r}")
+            raise InvalidConfig(f"unknown score {self.score!r}")
         if self.direction not in ("greater", "less"):
-            raise InvalidConfig(
-                f"rule direction must be 'greater' or 'less', got {self.direction!r}")
-        if not math.isfinite(self.cutoff):
-            raise InvalidConfig("rule cutoff must be finite")
+            raise InvalidConfig(f"direction must be 'greater' or 'less', got {self.direction!r}")
+        try:
+            # float() alone would also take True and "0.9"
+            cutoff = float(self.cutoff) if _is_real(self.cutoff) else math.nan
+        except OverflowError:  # an integer past the float range
+            cutoff = math.inf
+        if not math.isfinite(cutoff):
+            raise InvalidConfig(f"cutoff must be a finite number, got {self.cutoff!r}")
+        object.__setattr__(self, "cutoff", cutoff)
 
     def fires(self, scores: dict) -> bool:
         value = scores[self.score]
@@ -174,14 +180,9 @@ def load_config(path: str | Path | None = None) -> ThresholdConfig:
         if missing:
             raise InvalidConfig(f"rule for {name} missing key {missing[0]!r}")
         try:
-            # a JSON number only: float() alone would also take true and "0.9"
-            cutoff = float(body["cutoff"]) if _is_real(body["cutoff"]) else None
-        except OverflowError:  # an integer past the float range
-            cutoff = None
-        if cutoff is None:
-            raise InvalidConfig(
-                f"rule for {name} has a non-numeric cutoff {body['cutoff']!r}")
-        rules[cls] = ClassRule(score=body["score"], direction=body["direction"], cutoff=cutoff)
+            rules[cls] = ClassRule(**body)
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"rule for {name}: {exc}") from None
     return ThresholdConfig(rules=rules)
 
 
@@ -240,8 +241,6 @@ def annotate(s, p: DetectorParams | None = None, cfg: ThresholdConfig | None = N
     The block is min-max normalised by one :func:`minmax_normalize` call,
     made read-only and scored by one :func:`score_all` call.
     """
-    if p is None:
-        p = DetectorParams()
     if cfg is None:
         cfg = default_config()
     rows, one = signal_block(s)

@@ -189,7 +189,7 @@ def _rephrased(items, caption_of, args, in_flight: int):
         return
     from concurrent.futures import ThreadPoolExecutor  # loaded only to rephrase
 
-    from .pipeline import in_order
+    from .records import in_order
 
     def attempt(item):
         try:

@@ -305,8 +305,6 @@ def _find_cycle_lag(r: np.ndarray) -> int | None:
     difference is negative.  Returns None when the autocorrelation has no
     such peak (monotone decay: no repeating structure).
     """
-    if r.size < 4:
-        return None
     inner = np.arange(2, r.size - 1)
     d2 = r[inner + 1] - 2.0 * r[inner] + r[inner - 1]
     is_peak = (r[inner] > r[inner - 1]) & (r[inner] >= r[inner + 1]) & (d2 < 0.0)

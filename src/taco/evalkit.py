@@ -119,8 +119,6 @@ def bleu_n(candidate: str, references, n: int) -> float:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for x in a:
         curr = [0]

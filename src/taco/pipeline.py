@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import csv
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
@@ -30,7 +29,7 @@ from .captioner import base_caption
 from .errors import STOP_SIGNALS, InvalidArgument, ParseError, TacoError
 # write_jsonl and read_jsonl stay importable from here, beside the builders whose
 # records they write and read (bench/layers.py times them under these names)
-from .records import DatasetRecord, opened, read_jsonl, write_jsonl  # noqa: F401
+from .records import DatasetRecord, in_order, opened, read_jsonl, write_jsonl  # noqa: F401
 from .signal import MIN_SERIES_LEN, minmax_normalize, resample_linear
 from .synth import generate, sample_spec
 
@@ -257,26 +256,6 @@ def _quiet_worker() -> None:
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
-
-
-def in_order(pool, fn, items, ahead: int):
-    """Yield ``fn(item)`` for each item, in item order, from calls submitted
-    to the executor ``pool``, at most ``ahead`` of them submitted and not yet
-    yielded (``Executor.map`` would submit every item at once).
-
-    However the generator ends, exhausted, raised or closed early, it shuts
-    ``pool`` down and cancels the calls not yet started.
-    """
-    pending = deque()
-    try:
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) == ahead:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _ordered(worker, items, jobs: int):

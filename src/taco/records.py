@@ -4,9 +4,10 @@
 give the JSON keys in order, their defaults and their JSON types, and both
 the writer (:func:`encode_record`, :func:`write_jsonl`) and the reader
 (:func:`iter_jsonl`) walk them.  :func:`opened` and :func:`load_json` are
-the one way to read an input file.  This module imports nothing numeric,
-so a command that only reads and writes records, such as ``eval`` or
-``caption --classes``, loads no numpy.
+the one way to read an input file, and :func:`in_order` the one in-order
+executor loop, for the ``--jobs`` and ``--rephrase`` pools.  This module
+imports nothing numeric, so a command that only reads and writes records,
+such as ``eval`` or ``caption --classes``, loads no numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass, field, fields
 
 from .errors import ParseError
@@ -202,3 +204,23 @@ def iter_jsonl(path, decoder=STRICT_DECODER):
 def read_jsonl(path) -> list[DatasetRecord]:
     """:func:`iter_jsonl` collected into a list."""
     return list(iter_jsonl(path))
+
+
+def in_order(pool, fn, items, ahead: int):
+    """Yield ``fn(item)`` for each item, in item order, from calls submitted
+    to the executor ``pool``, at most ``ahead`` of them submitted and not yet
+    yielded (``Executor.map`` would submit every item at once).
+
+    However the generator ends, exhausted, raised or closed early, it shuts
+    ``pool`` down and cancels the calls not yet started.
+    """
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

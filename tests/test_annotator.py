@@ -176,6 +176,28 @@ def test_rule_rejects_unknown_score():
         ClassRule("vibes", "greater", 0.0)
 
 
+@pytest.mark.parametrize("cutoff", ["abc", None, 10**400, True, math.inf, math.nan],
+                         ids=["string", "null", "past-float", "bool", "inf", "nan"])
+def test_rule_refuses_a_cutoff_that_is_not_a_finite_number(cutoff):
+    with pytest.raises(InvalidConfig, match="^cutoff must be a finite number, got "):
+        ClassRule("trend", "greater", cutoff)
+
+
+def test_integer_cutoffs_give_the_digest_of_their_floats(tmp_path):
+    # a rule stores its cutoff as a float, so a config file that writes 1
+    # for 1.0 hashes as the same config written with floats
+    data = default_config().to_json_dict()
+    data["Rising"]["cutoff"], data["Falling"]["cutoff"] = 1, -1
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(data))
+    cfg = load_config(path)
+    assert type(cfg.rules[TimeSeriesClass.RISING].cutoff) is float
+    floats = dict(DEFAULT_RULES)
+    floats[TimeSeriesClass.RISING] = ClassRule("trend", "greater", 1.0)
+    floats[TimeSeriesClass.FALLING] = ClassRule("trend", "less", -1.0)
+    assert config_digest(PARAMS, cfg) == config_digest(PARAMS, ThresholdConfig(rules=floats))
+
+
 # ---------------------------------------------------------------------------
 # annotate end-to-end
 # ---------------------------------------------------------------------------

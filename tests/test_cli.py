@@ -614,7 +614,7 @@ def _nearnbr_overflow(tmp_path):
 def _dataset_with(flag, body):
     def build(tmp_path):
         path = tmp_path / "settings.json"
-        path.write_text(json.dumps(body))
+        path.write_text(body if isinstance(body, str) else json.dumps(body))
         csv_path = tmp_path / "ramp.csv"
         csv_path.write_text("v\n" + "\n".join(str(i) for i in range(300)) + "\n")
         return ["dataset", "--input", str(csv_path), flag, str(path)]
@@ -690,6 +690,10 @@ def _rising_cutoff(cutoff):
     return body
 
 
+#: A config text whose Rising cutoff decodes to infinity, which JSON cannot write.
+_INFINITE_RISING = json.dumps(_rising_cutoff(math.inf)).replace("Infinity", "1e999")
+
+
 @pytest.mark.parametrize("build", [
     _dataset_with("--params", {"k_segments": "10"}),
     _dataset_with("--params", {"spike_sigma": None}),
@@ -741,6 +745,7 @@ def _rising_cutoff(cutoff):
     _reading_bad("eval", _bad_record(source=5)),
     _reading_bad("eval", _bad_record(config_digest=7)),
     _reading_bad("eval", _bad_record(values="abc")),
+    _dataset_with("--config", _INFINITE_RISING),
 ], ids=["params-k-segments-string", "params-spike-sigma-null", "config-cutoff-string",
         "config-cutoff-null", "params-spike-sigma-past-float", "config-cutoff-past-float",
         "config-cutoff-bool", "config-cutoff-numeric-string", "config-cutoff-padded-string",
@@ -758,7 +763,7 @@ def _rising_cutoff(cutoff):
         "config-deep-nesting", "params-long-int", "config-long-int",
         "dataset-csv-field-too-long", "eval-id-number", "eval-id-null",
         "nearnbr-index-id-list", "nearnbr-query-id-object", "eval-source-number",
-        "eval-config-digest-number", "eval-values-string"])
+        "eval-config-digest-number", "eval-values-string", "config-cutoff-infinite"])
 def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(build(tmp_path) + ["--out", str(out)]) == EXIT_DATA
@@ -768,6 +773,18 @@ def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
     assert not out.exists()
     for bad in tmp_path.glob("bad.*"):
         assert str(bad) in err
+
+
+@pytest.mark.parametrize("body, shown", [
+    (_INFINITE_RISING, "inf"),
+    (_rising_cutoff("abc"), "'abc'"),
+    (_rising_cutoff(True), "True"),
+    (_rising_cutoff(10**400), str(10**400)),
+], ids=["infinite", "string", "bool", "past-float"])
+def test_a_bad_rule_cutoff_names_its_class(body, shown, tmp_path, capsys):
+    assert main(_dataset_with("--config", body)(tmp_path)) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: rule for Rising: cutoff must be a finite number, got {shown}\n")
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -1007,6 +1024,25 @@ def test_commands_load_only_what_they_run(argv, absent, tmp_path):
     result = subprocess.run([sys.executable, "-c", probe], env=_taco_env(), cwd=tmp_path,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "0 []", result.stderr
+
+
+def test_caption_rephrase_loads_no_scoring_stack(mock_endpoint, tmp_path):
+    # the in-order pool loop lives in the record layer, so rewording the base
+    # captions of annotate rows loads neither numpy nor a scoring module
+    _, url = mock_endpoint
+    write_jsonl([{"id": f"a{i}", "classes": ["Rising"]} for i in range(3)],
+                tmp_path / "a.jsonl")
+    argv = ["caption", "--input", "a.jsonl", "--rephrase", "--endpoint", url]
+    absent = ("numpy", *SCORING_MODULES)
+    probe = ("import contextlib, io, sys, taco.cli\n"
+             "out = io.StringIO()\n"
+             "with contextlib.redirect_stdout(out):\n"
+             f"    code = taco.cli.main({argv!r})\n"
+             f"print(code, out.getvalue().count({MockLLMHandler.fixed_reply!r}),\n"
+             f"      [m for m in {absent!r} if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], env=_taco_env(), cwd=tmp_path,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "0 3 []", result.stderr
 
 
 #: ``taco.__all__`` as it stood when every public name was imported eagerly.

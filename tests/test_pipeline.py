@@ -26,11 +26,10 @@ from taco.pipeline import (
     IngestSpec,
     build_dataset,
     build_forward_dataset,
-    in_order,
     ingest_csv,
     _ordered,
 )
-from taco.records import DatasetRecord, read_jsonl, write_jsonl
+from taco.records import DatasetRecord, in_order, read_jsonl, write_jsonl
 
 
 def write_csv(path, columns: dict):
@@ -522,6 +521,7 @@ def test_in_order_yields_in_item_order_at_most_ahead():
         assert len(pulled) - len(got) <= 4
         got.append(value)
     assert got == [i * i for i in range(20)]
+    assert taco.pipeline.in_order is in_order  # the --jobs pool's loop, still importable
 
 
 def test_in_order_shuts_its_pool_down_when_fn_raises():
