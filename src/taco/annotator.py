@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .captioner import CLASS_ORDER, TimeSeriesClass, sorted_classes
-from .detectors import SCORE_NAMES, DetectorParams, ScoreVector, _is_real, score_all
+from .detectors import SCORE_NAMES, DetectorParams, ScoreVector, _is_real, _shown, score_all
 from .errors import InvalidConfig
 from .records import load_json
 from .signal import minmax_normalize, signal_block
@@ -63,16 +63,17 @@ class ClassRule:
 
     def __post_init__(self):
         if not isinstance(self.score, str) or self.score not in RULE_SCORE_NAMES:
-            raise InvalidConfig(f"unknown score {self.score!r}")
+            raise InvalidConfig(f"unknown score {_shown(self.score)}")
         if self.direction not in ("greater", "less"):
-            raise InvalidConfig(f"direction must be 'greater' or 'less', got {self.direction!r}")
+            raise InvalidConfig(
+                f"direction must be 'greater' or 'less', got {_shown(self.direction)}")
         try:
             # float() alone would also take True and "0.9"
             cutoff = float(self.cutoff) if _is_real(self.cutoff) else math.nan
         except OverflowError:  # an integer past the float range
             cutoff = math.inf
         if not math.isfinite(cutoff):
-            raise InvalidConfig(f"cutoff must be a finite number, got {self.cutoff!r}")
+            raise InvalidConfig(f"cutoff must be a finite number, got {_shown(self.cutoff)}")
         object.__setattr__(self, "cutoff", cutoff)
 
     def fires(self, scores: dict) -> bool:

@@ -41,6 +41,21 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal's message; an int too long for ``repr``
+    (past the interpreter's integer string limit) is shown by its digit count,
+    and any other value whose ``repr`` fails by its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} too long to show"
+        size = abs(value)
+        digits = int((size.bit_length() - 1) * math.log10(2)) + 1
+        digits += size >= 10 ** digits
+        return f"an integer of {digits} digits"
+
+
 @dataclass(frozen=True)
 class DetectorParams:
     """Window sizes, segment counts and constants shared by the detectors.
@@ -62,19 +77,20 @@ class DetectorParams:
     def __post_init__(self):
         k = self.k_segments
         if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 2:
-            raise InvalidArgument(f"k_segments must be an integer >= 2, got {k!r}")
+            raise InvalidArgument(f"k_segments must be an integer >= 2, got {_shown(k)}")
         sigma = self.spike_sigma
         if not _is_real(sigma) or not 0.0 < sigma <= sys.float_info.max:
-            raise InvalidArgument(f"spike_sigma must be a finite number > 0, got {sigma!r}")
+            raise InvalidArgument(f"spike_sigma must be a finite number > 0, got {_shown(sigma)}")
         fracs = self.step_kernel_fracs
         if not isinstance(fracs, (list, tuple)) or not fracs:
-            raise InvalidArgument(f"step_kernel_fracs must be a non-empty list, got {fracs!r}")
+            raise InvalidArgument(
+                f"step_kernel_fracs must be a non-empty list, got {_shown(fracs)}")
         object.__setattr__(self, "step_kernel_fracs", tuple(fracs))
         named = [(name, getattr(self, name)) for name in
                  ("ma_window_frac", "median_window_frac", "symmetry_pad_step_frac")]
         for name, frac in named + [("step_kernel_fracs entries", f) for f in fracs]:
             if not _is_real(frac) or not 0.0 < frac <= 1.0:
-                raise InvalidArgument(f"{name} must be a number in (0, 1], got {frac!r}")
+                raise InvalidArgument(f"{name} must be a number in (0, 1], got {_shown(frac)}")
 
     def effective_segments(self, n: int) -> int:
         """Segment count for an n-sample sequence, keeping >= 2 samples each."""

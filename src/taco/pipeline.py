@@ -31,7 +31,6 @@ from .errors import STOP_SIGNALS, InvalidArgument, ParseError, TacoError
 # records they write and read (bench/layers.py times them under these names)
 from .records import DatasetRecord, in_order, opened, read_jsonl, write_jsonl  # noqa: F401
 from .signal import MIN_SERIES_LEN, minmax_normalize, resample_linear
-from .synth import generate, sample_spec
 
 
 @dataclass(frozen=True)
@@ -177,6 +176,8 @@ def _synth_records(indices, *, master_seed, annotate_also, params, cfg, include_
     """Yield the records of a chunk of forward-dataset indices, encoded when
     ``encode`` is given; with ``annotate_also`` their signals are annotated
     as one block."""
+    from .synth import generate, sample_spec
+
     synths = (generate(sample_spec(np.random.SeedSequence(entropy=(master_seed, i)),
                                    constraints=constraints, length=length))
               for i in indices)

@@ -1,4 +1,6 @@
-"""The record format and its file I/O, on the standard library alone.
+"""The record format and its file I/O, on the standard library alone but for
+the ``values`` formatter, ``orjson``, which :func:`encode_record` imports
+when it first writes a list of floats.
 
 :class:`DatasetRecord` is the one definition of a dataset line: its fields
 give the JSON keys in order, their defaults and their JSON types, and both
@@ -113,10 +115,53 @@ class DatasetRecord:
 _JSON_FIELDS = {f.name: f.metadata["json"] for f in fields(DatasetRecord)}
 
 
+def _repr_tokens(text: str, marker: str) -> str:
+    """``text``, float tokens joined by commas, with each token that holds
+    ``marker`` rewritten as ``repr`` writes that float."""
+    parts, done = [], 0
+    hit = text.find(marker)
+    while hit >= 0:
+        start = text.rfind(",", 0, hit) + 1
+        end = text.find(",", hit)
+        if end < 0:
+            end = len(text)
+        parts += text[done:start], repr(float(text[start:end]))
+        done = end
+        hit = text.find(marker, done)
+    parts.append(text[done:])
+    return "".join(parts)
+
+
+def _float_list_json(values: list) -> str | None:
+    """A list of floats as ``json.dumps`` writes it, or None where
+    ``json.dumps`` should write it: the list holds a non-finite float, which
+    orjson writes as ``null``, or so many tokens to rewrite that
+    ``json.dumps`` is faster (past a quarter of them).  orjson writes each
+    float in the fewest digits, as ``repr`` does, in a tenth of the time;
+    only its notation differs: ``1e16`` and ``3.5e-6`` for ``1e+16`` and
+    ``3.5e-06``, and decimals below 1e-4, such as ``0.00007``, that ``repr``
+    writes as ``7e-05``."""
+    import orjson
+
+    text = orjson.dumps(values).decode()[1:-1]
+    if "null" in text or text.count("e") + text.count("0.0000") > len(values) // 4:
+        return None
+    text = _repr_tokens(_repr_tokens(text, "e"), "0.0000")
+    return f"[{text.replace(',', ', ')}]"
+
+
 def encode_record(record) -> str:
     """The one JSONL serialiser: a record (DatasetRecord or plain dict) as
-    one JSON line in fixed key order, without the newline."""
+    one JSON line in fixed key order, without the newline, with the bytes
+    ``json.dumps(data, allow_nan=False)`` writes.  A last key ``values``
+    that holds only floats is written by :func:`_float_list_json`."""
     data = record.to_json_dict() if hasattr(record, "to_json_dict") else record
+    values = data.get("values")
+    if (type(values) is list and values and next(reversed(data)) == "values"
+            and set(map(type, values)) == {float}):
+        text = _float_list_json(values)
+        if text is not None:
+            return json.dumps({**data, "values": None}, allow_nan=False)[:-5] + text + "}"
     return json.dumps(data, allow_nan=False)
 
 

@@ -988,17 +988,17 @@ SCORING_MODULES = ("taco.signal", "taco.detectors", "taco.annotator", "taco.pipe
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (None, ("dataclasses",)),
-    (["caption", "--classes", "Rising"], ("numpy", *SCORING_MODULES)),
+    (None, ("dataclasses", "orjson")),
+    (["caption", "--classes", "Rising"], ("numpy", "orjson", *SCORING_MODULES)),
     (["eval", "--candidates", "q.jsonl", "--references", "train.jsonl"],
-     ("numpy", *SCORING_MODULES)),
+     ("numpy", "orjson", *SCORING_MODULES)),
     (["nearnbr", "--index", "train.jsonl", "--queries", "q.jsonl"],
-     (*SCORING_MODULES, "hashlib")),
+     (*SCORING_MODULES, "hashlib", "orjson")),
     (["dataset", "--input", "d.csv", "--window", "64", "--target-len", "64"],
-     ("numpy.ma", "hashlib", "_hashlib")),
+     ("numpy.ma", "hashlib", "_hashlib", "taco.synth")),
     (["annotate", "--input", "d.csv", "--window", "64", "--target-len", "64"],
-     ("numpy.ma", "hashlib", "_hashlib")),
-    (["caption", "--input", "a.jsonl"], ("numpy", *SCORING_MODULES)),
+     ("numpy.ma", "hashlib", "_hashlib", "taco.synth")),
+    (["caption", "--input", "a.jsonl"], ("numpy", "orjson", *SCORING_MODULES)),
 ], ids=["import-cli", "caption-classes", "eval", "nearnbr", "dataset", "annotate",
         "caption-input"])
 def test_commands_load_only_what_they_run(argv, absent, tmp_path):
@@ -1006,7 +1006,9 @@ def test_commands_load_only_what_they_run(argv, absent, tmp_path):
     # and eval load no numpy, nor does caption --input on rows that name
     # only time-series classes, as annotate rows do; nearnbr loads numpy but
     # no scoring module; the spike score's median loads no numpy.ma, and the
-    # config digest's SHA-256 loads neither hashlib nor OpenSSL
+    # config digest's SHA-256 loads neither hashlib nor OpenSSL; only a
+    # command that writes values lists loads their formatter, orjson, and
+    # only a forward build loads taco.synth
     write_jsonl([{"id": f"t{i}", "caption_base": f"the signal rises {i}",
                   "values": [float(i)] * 16} for i in range(5)], tmp_path / "train.jsonl")
     write_jsonl([{"id": f"t{i}", "caption_base": f"the signal falls {i}",

@@ -8,7 +8,7 @@ import pytest
 
 from taco.annotator import DEFAULT_RULES, ClassRule, ThresholdConfig
 from taco.captioner import _extract_completion
-from taco.detectors import _find_cycle_lag
+from taco.detectors import DetectorParams, _find_cycle_lag
 from taco.errors import (InvalidArgument, InvalidConfig, InvalidSignal, InvalidSpec,
                          ProtocolError, TooShort)
 from taco.evalkit import _lcs_length, corpus_bleu
@@ -49,11 +49,24 @@ def _synth(**spec):
      "every candidate needs at least one reference"),
     (lambda: _extract_completion({"choices": [{}]}), ProtocolError,
      "completion entry has neither message.content nor text"),
+    # ints too long for repr: the message gives their digit count
+    (lambda: ClassRule("trend", "greater", 10**5000), InvalidConfig,
+     "cutoff must be a finite number, got an integer of 5001 digits"),
+    (lambda: DetectorParams(k_segments=-10**5000), InvalidArgument,
+     "k_segments must be an integer >= 2, got an integer of 5001 digits"),
+    (lambda: DetectorParams(spike_sigma=10**5000), InvalidArgument,
+     "spike_sigma must be a finite number > 0, got an integer of 5001 digits"),
+    (lambda: DetectorParams(step_kernel_fracs=[10**5000 - 1]), InvalidArgument,
+     "step_kernel_fracs entries must be a number in (0, 1], got an integer of 5000 digits"),
+    (lambda: DetectorParams(step_kernel_fracs={10**5000}), InvalidArgument,
+     "step_kernel_fracs must be a non-empty list, got a set too long to show"),
 ], ids=["normalized-nan", "normalized-outside-unit", "normalize-empty", "resample-one-sample",
         "segment-zero", "polyfit-degree-3", "polyfit-two-samples-degree-2",
         "median-window-past-length", "moving-average-zero", "steppy-count-zero",
         "pos-spiky-count-zero", "synth-length-one", "ingest-stride-zero",
-        "config-non-class-key", "bleu-no-references", "completion-entry-empty"])
+        "config-non-class-key", "bleu-no-references", "completion-entry-empty",
+        "cutoff-huge-int", "k-segments-huge-int", "spike-sigma-huge-int",
+        "kernel-frac-huge-int", "kernel-fracs-set-of-huge-int"])
 def test_library_refuses_with_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
