@@ -214,7 +214,8 @@ def record_values(record, path) -> np.ndarray:
 
     Each value must be a JSON number: ``array("d")`` refuses a string, a
     null, a list or an integer past the float range, where ``np.asarray``
-    would parse a numeric string.
+    would parse a numeric string.  It takes a boolean as 1.0 or 0.0, so
+    only the values at those positions are tested for one.
     """
     import numpy as np
 
@@ -224,7 +225,9 @@ def record_values(record, path) -> np.ndarray:
         values = np.frombuffer(array("d", record.values))
     except (TypeError, OverflowError):
         values = np.empty(0)
-    if not values.size or not np.isfinite(values).all():
+    if not values.size or not np.isfinite(values).all() or any(
+            type(record.values[i]) is bool
+            for i in np.flatnonzero((values == 0.0) | (values == 1.0)).tolist()):
         raise ParseError(f"{path}: record {record.id!r} has null, non-finite "
                          f"or non-numeric values")
     return values

@@ -115,11 +115,10 @@ def _read_csv_columns(path: str, wanted: tuple | None) -> dict:
         except csv.Error as exc:
             where = "the header row" if header is None else f"row {rows + 1}"
             raise ParseError(f"{path}: malformed CSV at {where}: {exc}", row=rows + 1) from None
-    if wanted is None:
-        if not rows:
-            raise ParseError(f"{path} has a header but no data rows")
-        if not columns:
-            raise ParseError(f"{path} has no numeric columns")
+    if not rows:
+        raise ParseError(f"{path} has a header but no data rows")
+    if wanted is None and not columns:
+        raise ParseError(f"{path} has no numeric columns")
     return {header[idx]: np.frombuffer(columns[idx]) for idx in sorted(columns)}
 
 

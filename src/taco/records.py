@@ -133,18 +133,17 @@ def _repr_tokens(text: str, marker: str) -> str:
 
 
 def _float_list_json(values: list) -> str | None:
-    """A list of floats as ``json.dumps`` writes it, or None where
-    ``json.dumps`` should write it: the list holds a non-finite float, which
-    orjson writes as ``null``, or so many tokens to rewrite that
-    ``json.dumps`` is faster (past a quarter of them).  orjson writes each
-    float in the fewest digits, as ``repr`` does, in a tenth of the time;
-    only its notation differs: ``1e16`` and ``3.5e-6`` for ``1e+16`` and
-    ``3.5e-06``, and decimals below 1e-4, such as ``0.00007``, that ``repr``
-    writes as ``7e-05``."""
+    """A list of floats as ``json.dumps`` writes it, or None when the list
+    holds a non-finite float, which orjson writes as ``null``.  orjson
+    writes each float in the fewest digits, as ``repr`` does, in a tenth of
+    the time; only its notation differs: ``1e16`` and ``3.5e-6`` for
+    ``1e+16`` and ``3.5e-06``, and decimals below 1e-4, such as
+    ``0.00007``, that ``repr`` writes as ``7e-05``.  Each such token is
+    rewritten by ``repr``."""
     import orjson
 
     text = orjson.dumps(values).decode()[1:-1]
-    if "null" in text or text.count("e") + text.count("0.0000") > len(values) // 4:
+    if "null" in text:
         return None
     text = _repr_tokens(_repr_tokens(text, "e"), "0.0000")
     return f"[{text.replace(',', ', ')}]"
@@ -154,10 +153,11 @@ def encode_record(record) -> str:
     """The one JSONL serialiser: a record (DatasetRecord or plain dict) as
     one JSON line in fixed key order, without the newline, with the bytes
     ``json.dumps(data, allow_nan=False)`` writes.  A last key ``values``
-    that holds only floats is written by :func:`_float_list_json`."""
+    that holds a non-empty list of floats, all finite, is written by
+    :func:`_float_list_json`; every other record by ``json.dumps``."""
     data = record.to_json_dict() if hasattr(record, "to_json_dict") else record
     values = data.get("values")
-    if (type(values) is list and values and next(reversed(data)) == "values"
+    if (type(values) is list and next(reversed(data)) == "values"
             and set(map(type, values)) == {float}):
         text = _float_list_json(values)
         if text is not None:

@@ -714,6 +714,8 @@ _INFINITE_RISING = json.dumps(_rising_cutoff(math.inf)).replace("Infinity", "1e9
     _nearnbr_with("query", "  2 "),
     _nearnbr_with("query", [1.0]),
     _nearnbr_with("query", float("nan")),
+    _nearnbr_with("query", True),
+    _nearnbr_with("index", False),
     _nearnbr_overflow,
     _jsonl_with("caption", "classes", None),
     _jsonl_with("caption", "classes", "Rising"),
@@ -753,7 +755,8 @@ _INFINITE_RISING = json.dumps(_rising_cutoff(math.inf)).replace("Infinity", "1e9
         "nearnbr-index-past-float", "nearnbr-query-past-float",
         "nearnbr-query-null-value", "nearnbr-query-string-value",
         "nearnbr-query-numeric-string",
-        "nearnbr-query-nested-value", "nearnbr-query-nan-token", "nearnbr-mse-overflow",
+        "nearnbr-query-nested-value", "nearnbr-query-nan-token",
+        "nearnbr-query-bool-value", "nearnbr-index-bool-value", "nearnbr-mse-overflow",
         "caption-classes-null", "caption-classes-string", "caption-classes-number-item",
         "caption-scores-list", "eval-classes-null", "eval-scores-list",
         "eval-caption-base-null", "eval-caption-rephrased-number", "eval-duplicate-id",
@@ -1130,6 +1133,33 @@ def test_outputs_identical_across_blas_thread_counts(tmp_path):
         outputs[threads] = {path.name: path.read_bytes() for path in run.iterdir()}
     assert sorted(outputs["1"]) == ["d1.jsonl", "d1.jsonl.skipped.jsonl", "d2.jsonl",
                                     "d2.jsonl.skipped.jsonl", "e.json", "n.jsonl", "s.jsonl"]
+    assert outputs["1"] == outputs["2"]
+
+
+def test_outputs_identical_across_string_hash_seeds(tmp_path):
+    # a set or dict of strings iterates in an order that follows the hash
+    # seed, so no output byte may depend on such an order.  The blank cell
+    # skips window v#1, so the sidecar holds a line.
+    cells = ["" if i == 100 else repr(math.sin(i / 5) + (i > 150)) for i in range(256)]
+    (tmp_path / "v.csv").write_text("v\n" + "\n".join(cells) + "\n")
+    commands = [
+        ["dataset", "--input", "../v.csv", "--window", "64", "--target-len", "256",
+         "--out", "d.jsonl"],
+        ["synth", "--count", "20", "--length", "256", "--annotate-also", "--out", "s.jsonl"],
+        ["nearnbr", "--index", "s.jsonl", "--queries", "d.jsonl"],
+    ]
+    outputs = {}
+    for seed in ("1", "2"):
+        run = tmp_path / f"seed{seed}"
+        run.mkdir()
+        stdout = [subprocess.run([sys.executable, "-m", "taco.cli", *argv], cwd=run,
+                                 env=_taco_env() | {"PYTHONHASHSEED": seed},
+                                 capture_output=True, check=True, timeout=120).stdout
+                  for argv in commands]
+        outputs[seed] = stdout, {path.name: path.read_bytes() for path in run.iterdir()}
+    assert sorted(outputs["1"][1]) == ["d.jsonl", "d.jsonl.skipped.jsonl", "s.jsonl"]
+    assert outputs["1"][1]["d.jsonl.skipped.jsonl"].count(b"\n") == 1
+    assert outputs["1"][0][2].count(b"\n") == 3
     assert outputs["1"] == outputs["2"]
 
 

@@ -86,6 +86,15 @@ def test_ingest_no_numeric_columns(tmp_path):
         list(ingest_csv(IngestSpec(inputs=(path,), window_len=16)))
 
 
+@pytest.mark.parametrize("columns", [None, ("a",)])
+def test_ingest_header_only_refused(tmp_path, columns):
+    path = tmp_path / "h.csv"
+    path.write_text("a,b\n")
+    with pytest.raises(ParseError) as err:
+        list(ingest_csv(IngestSpec(inputs=(path,), columns=columns, window_len=16)))
+    assert str(err.value) == f"{path} has a header but no data rows"
+
+
 def test_ingest_missing_file():
     with pytest.raises(ParseError):
         list(ingest_csv(IngestSpec(inputs=("/nonexistent/nope.csv",))))

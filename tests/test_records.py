@@ -25,8 +25,8 @@ _OTHER_FIELDS = st.dictionaries(
 
 
 #: Floats orjson writes as repr does.  Padding a list with four of them per
-#: other value keeps its tokens to rewrite at a fifth or fewer, below the
-#: quarter past which json.dumps writes the whole list.
+#: other value leaves its tokens to rewrite sparse, as in most records, so
+#: each rewrite is spliced between tokens that stay as orjson wrote them.
 PLAIN = [0.5, 0.25, 0.7071067811865476, 1.0]
 
 
