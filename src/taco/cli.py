@@ -291,7 +291,7 @@ def _cmd_synth(args):
     params = _load_params(args.params)
     cfg = load_config(args.config)
     constraints = ([s.strip() for s in args.shapes.split(",") if s.strip()]
-                   if args.shapes else None)
+                   if args.shapes is not None else None)
     return iter_forward(
         n=args.count,
         master_seed=args.seed,

@@ -1,11 +1,13 @@
 """Dataset construction: CSV windows in, JSONL caption records out.
 
-Raw CSV columns are cut into fixed-length windows, resampled to a common
-length by linear interpolation, normalized, annotated and captioned.  Windows
-are processed a chunk of ``CHUNK_TASKS`` at a time, each chunk annotated as
-one block; chunks are independent, so they run in parallel, and results are
-always emitted in (file, column, window) order regardless of worker count,
-so identical inputs and configuration produce byte-identical output files.
+Raw CSV columns are cut into fixed-length windows and resampled to a common
+length by linear interpolation; forward records start from synthetic signals.
+Signals are processed a chunk of ``CHUNK_TASKS`` at a time, each chunk one
+block that :func:`_records`, the one record builder, normalises once (and
+annotates, for CSV windows and ``annotate_also``) and turns into records.
+Chunks are independent, so they run in parallel, and results are always
+emitted in input order regardless of worker count, so identical inputs and
+configuration produce byte-identical output files.
 
 Records stream: each chunk's records, or their encoded JSONL lines, are
 yielded in order as soon as the chunk is done, and workers run the
@@ -19,7 +21,7 @@ import csv
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -147,58 +149,58 @@ def ingest_csv(spec: IngestSpec):
                 yield f"{name}#{col}#{idx}", values[start:start + spec.window_len]
 
 
-def _window_outcomes(windows, *, params, cfg, target_len, include_values, digest, encode):
-    """Resample a chunk of windows into one block, then annotate and caption it.
+def _records(heads, block, *, annotated, params, cfg, include_values, digest, encode):
+    """Yield the record of each row of ``block`` in order, encoded when
+    ``encode`` is given: every dataset record is built here.  Each head is
+    ``(id, source, classes, caption)``; an ``annotated`` block adds each
+    annotation's other classes, its base caption and its scores.  The block is
+    min-max normalised once: by ``annotate``, or, when values are kept, by one
+    :func:`minmax_normalize` call."""
+    annotations = annotate(block, params, cfg) if annotated else ()
+    if include_values:
+        rows = [a.normalized for a in annotations] if annotated else minmax_normalize(block)
+    for i, (rid, source, classes, caption) in enumerate(heads):
+        scores: dict = {}
+        if annotated:
+            annotation = annotations[i]
+            classes = classes + [c for c in annotation.class_names() if c not in classes]
+            caption = " ".join(filter(None, (caption, base_caption(annotation.classes))))
+            scores = annotation.scores.as_dict()
+        record = DatasetRecord(id=rid, source=source, classes=classes, scores=scores,
+                               caption_base=caption, config_digest=digest,
+                               values=rows[i].tolist() if include_values else None)
+        yield encode(record) if encode else record
+
+
+def _window_outcomes(windows, *, target_len, **build):
+    """Resample a chunk of windows into one block and yield its records.
 
     Yields a ``{"source", "reason"}`` dict as soon as a window fails to
-    resample, then each other window's record (never a dict) in window order,
-    encoded when ``encode`` is given.
+    resample, then each other window's record (never a dict) in window order.
     """
-    tags, rows = [], []
+    heads, rows = [], []
     for tag, values in windows:
         try:
             rows.append(resample_linear(values, target_len))
-            tags.append(tag)
+            heads.append((tag, tag, [], ""))
         except TacoError as exc:
             yield {"source": tag, "reason": f"{type(exc).__name__}: {exc}"}
-    for tag, annotation in zip(tags, annotate(np.array(rows), params, cfg) if rows else ()):
-        record = DatasetRecord(
-            id=tag, source=tag, classes=annotation.class_names(),
-            scores=annotation.scores.as_dict(),
-            caption_base=base_caption(annotation.classes), config_digest=digest,
-            values=annotation.normalized.tolist() if include_values else None)
-        yield encode(record) if encode else record
+    if rows:
+        yield from _records(heads, np.array(rows), annotated=True, **build)
 
 
-def _synth_records(indices, *, master_seed, annotate_also, params, cfg, include_values,
-                   length, constraints, digest, encode):
-    """Yield the records of a chunk of forward-dataset indices, encoded when
-    ``encode`` is given; with ``annotate_also`` their signals are annotated
-    as one block."""
+def _synth_records(indices, *, master_seed, length, constraints, annotate_also, **build):
+    """Generate the signals of a chunk of forward-dataset indices as one block
+    and yield their records; with ``annotate_also`` the block is annotated."""
     from .synth import generate, sample_spec
 
-    synths = (generate(sample_spec(np.random.SeedSequence(entropy=(master_seed, i)),
+    synths = [generate(sample_spec(np.random.SeedSequence(entropy=(master_seed, i)),
                                    constraints=constraints, length=length))
-              for i in indices)
-    annotations = repeat(None)  # plain records are built one at a time, as generated
-    if annotate_also:
-        synths = list(synths)
-        annotations = annotate(np.array([synth.values for synth in synths]), params, cfg)
-    for i, synth, annotation in zip(indices, synths, annotations):
-        classes = list(synth.forward_classes)
-        caption = synth.caption
-        scores: dict = {}
-        if annotation is not None:
-            caption = f"{caption} {base_caption(annotation.classes)}"
-            classes += [c for c in annotation.class_names() if c not in classes]
-            scores = annotation.scores.as_dict()
-            kept = annotation.normalized
-        else:
-            kept = minmax_normalize(synth.values[None])[0] if include_values else None
-        record = DatasetRecord(id=f"synth-{i:06d}", source="synth", classes=classes,
-                               scores=scores, caption_base=caption, config_digest=digest,
-                               values=kept.tolist() if include_values else None)
-        yield encode(record) if encode else record
+              for i in indices]
+    heads = [(f"synth-{i:06d}", "synth", list(synth.forward_classes), synth.caption)
+             for i, synth in zip(indices, synths)]
+    yield from _records(heads, np.array([synth.values for synth in synths]),
+                        annotated=annotate_also, **build)
 
 
 #: Tasks per chunk a worker runs, and chunks in flight per pool worker.  Both
@@ -342,6 +344,8 @@ def iter_forward(n: int, master_seed: int, annotate_also: bool = False,
     """
     if n < 1:
         raise InvalidArgument(f"n must be >= 1, got {n}")
+    if master_seed < 0:
+        raise InvalidArgument(f"master_seed must be >= 0, got {master_seed}")
     params = params or DetectorParams()
     cfg = cfg or default_config()
     worker = partial(_synth_records, master_seed=int(master_seed),

@@ -314,6 +314,16 @@ def test_synth_shape_constraint(tmp_path):
         assert record.classes[0] == "Gaussian"
 
 
+@pytest.mark.parametrize("shapes", ["", ","])
+def test_synth_empty_shapes_exits_two(tmp_path, capsys, shapes):
+    # an empty --shapes names no shape; it is refused, not taken as no filter
+    out = tmp_path / "s.jsonl"
+    assert main(["synth", "--count", "2", "--seed", "1", "--shapes", shapes,
+                 "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: constraint set must not be empty\n"
+    assert not out.exists()
+
+
 def test_synth_no_values(tmp_path):
     out = tmp_path / "s.jsonl"
     assert main(["synth", "--count", "2", "--seed", "1", "--no-values",

@@ -27,9 +27,12 @@ from taco.pipeline import (
     build_dataset,
     build_forward_dataset,
     ingest_csv,
+    iter_forward,
     _ordered,
 )
 from taco.records import DatasetRecord, in_order, read_jsonl, write_jsonl
+from taco.signal import minmax_normalize
+from taco.synth import generate, sample_spec
 
 
 def write_csv(path, columns: dict):
@@ -280,6 +283,34 @@ def test_forward_dataset_repeatable(tmp_path):
 def test_forward_dataset_rejects_bad_count():
     with pytest.raises(InvalidArgument):
         build_forward_dataset(0, master_seed=1)
+    with pytest.raises(InvalidArgument, match="master_seed must be >= 0, got -1"):
+        build_forward_dataset(1, master_seed=-1)
+    with pytest.raises(InvalidArgument, match="master_seed"):
+        iter_forward(1, -1)  # at the call, before a record is asked for
+
+
+@pytest.mark.parametrize("annotate_also", [False, True])
+def test_forward_record_does_not_depend_on_its_chunk(annotate_also):
+    # a chunk of CHUNK_TASKS records is one block; where a record's chunk ends
+    # must not change a bit of it
+    full, _ = build_forward_dataset(24, master_seed=13, annotate_also=annotate_also, length=64)
+    expected = [record.to_json_dict() for record in full]
+    for n in (1, 7, 9, 17):
+        records, _ = build_forward_dataset(n, master_seed=13, annotate_also=annotate_also,
+                                           length=64)
+        assert [record.to_json_dict() for record in records] == expected[:n]
+
+
+@pytest.mark.parametrize("length", [2, 5, 256])
+@pytest.mark.parametrize("constraints", [None, {"Constant"}])
+def test_plain_forward_values_are_each_signal_normalised_alone(length, constraints):
+    records, _ = build_forward_dataset(CHUNK_TASKS + 3, master_seed=13, length=length,
+                                       constraints=constraints)
+    for i, record in enumerate(records):
+        spec = sample_spec(np.random.SeedSequence(entropy=(13, i)), constraints=constraints,
+                           length=length)
+        alone = minmax_normalize(generate(spec).values[None])[0]
+        assert np.array(record.values).tobytes() == alone.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +394,8 @@ def test_jsonl_infinite_scores_serialized_as_null(tmp_path):
 
 def test_each_annotated_record_is_normalised_once(tmp_path, monkeypatch):
     # annotate normalises each chunk's block in one call and scores that block;
-    # each record keeps its row.  A plain forward record is normalised alone,
-    # as a one-row view, so no NormalizedSeries re-scans it.
+    # each record keeps its row.  A plain forward chunk is normalised by one
+    # call on its block, and not at all when its records keep no values.
     calls, outputs = [], []
     for module in (taco.annotator, taco.pipeline):
         def counted(s, original=module.minmax_normalize, name=module.__name__):
@@ -385,8 +416,12 @@ def test_each_annotated_record_is_normalised_once(tmp_path, monkeypatch):
     calls.clear()
     outputs.clear()
     records, _ = build_forward_dataset(4, master_seed=7, length=256)
-    assert calls == [("taco.pipeline", (1, 256))] * 4
-    assert [record.values for record in records] == [out[0].tolist() for out in outputs]
+    assert calls == [("taco.pipeline", (4, 256))]
+    assert [record.values for record in records] == outputs[0].tolist()
+    calls.clear()
+    records, _ = build_forward_dataset(4, master_seed=7, length=256, include_values=False)
+    assert calls == []
+    assert all(record.values is None for record in records)
 
 
 def _sigint_dispositions(chunk):
