@@ -1,6 +1,7 @@
 """The record format and its file I/O, on the standard library alone but for
-the ``values`` formatter, ``orjson``, which :func:`encode_record` imports
-when it first writes a list of floats.
+``orjson``, which :func:`encode_record` imports when it first writes a list
+of floats, and :func:`iter_jsonl` when it first reads one with
+:data:`STRICT_DECODER`.
 
 :class:`DatasetRecord` is the one definition of a dataset line: its fields
 give the JSON keys in order, their defaults and their JSON types, and both
@@ -212,27 +213,77 @@ def written_in_place(path) -> bool:
     return os.path.exists(path) and not os.path.isfile(path)
 
 
+#: The text before a ``values`` list that :func:`encode_record` writes last.
+_VALUES_KEY = '"values": '
+
+#: A list whose norm, as ``math.hypot`` computes it to within a few units
+#: in the last place, is below this holds no item of magnitude 2**63 or
+#: more: from there on ``orjson`` may read an integer token as a float,
+#: where ``json`` reads an int.  ``math.hypot`` takes a third of the time
+#: that ``min`` and ``max`` take.
+_NORM_BOUND = 2.0 ** 62
+
+
+def _split_decode(line: str) -> dict | None:
+    """JSON object text ``line`` as :data:`STRICT_DECODER` decodes it, or
+    None.  A line that ends in ``]}`` is cut at its last ``[``, which must
+    follow an unescaped ``"values": ``.  The list from there is read by
+    ``orjson``, five times faster; the text before it, closed by ``null}``,
+    can decode only to an object, by :data:`STRICT_DECODER`, whose
+    ``values`` the list then replaces.  The result is kept only when both
+    parts decode, the list is non-empty, each item is exactly a float and
+    their norm is below :data:`_NORM_BOUND`; any other line gives None, for
+    the caller to decode whole."""
+    if not line.endswith("]}"):
+        return None
+    cut = line.rfind("[")
+    head = line[:cut]
+    if not head.endswith(_VALUES_KEY) or head.endswith("\\" + _VALUES_KEY):
+        return None
+    import orjson
+
+    try:
+        values = orjson.loads(line[cut:-1])
+    except orjson.JSONDecodeError:
+        return None
+    if (not values or list(map(type, values)).count(float) != len(values)
+            or not math.hypot(*values) < _NORM_BOUND):
+        return None
+    try:
+        data = STRICT_DECODER.decode(head + "null}")
+    except (ValueError, RecursionError):
+        return None
+    data["values"] = values
+    return data
+
+
 def iter_jsonl(path, decoder=STRICT_DECODER):
     """Yield the records of a JSONL dataset file one line at a time, each
     line decoded by ``decoder``; a reader that uses no score and no value
-    passes :data:`FLOATLESS_DECODER`, which parses no float.
+    passes :data:`FLOATLESS_DECODER`, which parses no float.  With
+    :data:`STRICT_DECODER`, each line is first tried by :func:`_split_decode`,
+    which gives the same object or none.
 
     Malformed lines (including a truncated final line, the non-finite
     tokens ``NaN``, ``Infinity`` and ``-Infinity``, and a record field of
     the wrong JSON type) raise :class:`ParseError` carrying the 1-based line
-    number.  Keys that name no record field are ignored.
+    number.  Keys that name no record field are ignored.  Only JSON's
+    whitespace (space, tab, CR, LF) may pad a line.
     """
+    split = decoder is STRICT_DECODER
     with opened(path) as handle:
         for line_num, line in enumerate(handle, start=1):
-            stripped = line.strip()
+            stripped = line.strip(" \t\r\n")
             if not stripped and line.endswith("\n"):
                 continue
-            try:
-                data = decoder.decode(stripped)
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(
-                    f"{path}: malformed JSON at line {line_num}: {exc}",
-                    line=line_num) from None
+            data = _split_decode(stripped) if split else None
+            if data is None:
+                try:
+                    data = decoder.decode(stripped)
+                except (ValueError, RecursionError) as exc:
+                    raise ParseError(
+                        f"{path}: malformed JSON at line {line_num}: {exc}",
+                        line=line_num) from None
             if not isinstance(data, dict):
                 raise ParseError(
                     f"{path}: expected a JSON object at line {line_num}",

@@ -20,6 +20,7 @@ import pytest
 
 import taco.captioner
 import taco.cli
+import taco.records
 from taco.annotator import TimeSeriesClass, default_config
 from taco.captioner import NO_SALIENT_CAPTION, classes_from_caption
 from taco.cli import (
@@ -704,7 +705,11 @@ def _rising_cutoff(cutoff):
 _INFINITE_RISING = json.dumps(_rising_cutoff(math.inf)).replace("Infinity", "1e999")
 
 
-@pytest.mark.parametrize("build", [
+#: A record line padded by NBSP, which ``str.strip()`` would take and JSON refuses.
+_NBSP_PADDED = "\xa0".encode() + _bad_record()[:-1] + "\xa0\n".encode()
+
+#: Each command reading each malformed input, and the test id of each.
+_MALFORMED = [
     _dataset_with("--params", {"k_segments": "10"}),
     _dataset_with("--params", {"spike_sigma": None}),
     _dataset_with("--config", _rising_cutoff("abc")),
@@ -758,7 +763,12 @@ _INFINITE_RISING = json.dumps(_rising_cutoff(math.inf)).replace("Infinity", "1e9
     _reading_bad("eval", _bad_record(config_digest=7)),
     _reading_bad("eval", _bad_record(values="abc")),
     _dataset_with("--config", _INFINITE_RISING),
-], ids=["params-k-segments-string", "params-spike-sigma-null", "config-cutoff-string",
+    _reading_bad("nearnbr", _NBSP_PADDED),
+    _reading_bad("nearnbr", b"\f" + _bad_record()),
+    _reading_bad("eval", _NBSP_PADDED),
+    _reading_bad("eval", b"\f" + _bad_record()[:-1] + b"\f\n"),
+]
+_MALFORMED_IDS = ["params-k-segments-string", "params-spike-sigma-null", "config-cutoff-string",
         "config-cutoff-null", "params-spike-sigma-past-float", "config-cutoff-past-float",
         "config-cutoff-bool", "config-cutoff-numeric-string", "config-cutoff-padded-string",
         "nearnbr-null-value", "nearnbr-index-string-value", "nearnbr-index-numeric-string",
@@ -776,7 +786,12 @@ _INFINITE_RISING = json.dumps(_rising_cutoff(math.inf)).replace("Infinity", "1e9
         "config-deep-nesting", "params-long-int", "config-long-int",
         "dataset-csv-field-too-long", "eval-id-number", "eval-id-null",
         "nearnbr-index-id-list", "nearnbr-query-id-object", "eval-source-number",
-        "eval-config-digest-number", "eval-values-string", "config-cutoff-infinite"])
+        "eval-config-digest-number", "eval-values-string", "config-cutoff-infinite",
+        "nearnbr-nbsp-padded", "nearnbr-form-feed-padded", "eval-nbsp-padded",
+        "eval-form-feed-padded"]
+
+
+@pytest.mark.parametrize("build", _MALFORMED, ids=_MALFORMED_IDS)
 def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(build(tmp_path) + ["--out", str(out)]) == EXIT_DATA
@@ -786,6 +801,16 @@ def test_malformed_settings_and_index_exit_two(build, tmp_path, capsys):
     assert not out.exists()
     for bad in tmp_path.glob("bad.*"):
         assert str(bad) in err
+
+
+@pytest.mark.parametrize("build", _MALFORMED, ids=_MALFORMED_IDS)
+def test_the_split_read_path_keeps_each_refusal(build, tmp_path, capsys, monkeypatch):
+    # a record's values list may be read apart from the rest of its line;
+    # every refusal is the one the whole-line decoder gives
+    argv = build(tmp_path)
+    refused = main(argv), capsys.readouterr().err
+    monkeypatch.setattr(taco.records, "_split_decode", lambda line: None)
+    assert (main(argv), capsys.readouterr().err) == refused
 
 
 @pytest.mark.parametrize("body, shown", [
@@ -1006,7 +1031,7 @@ SCORING_MODULES = ("taco.signal", "taco.detectors", "taco.annotator", "taco.pipe
     (["eval", "--candidates", "q.jsonl", "--references", "train.jsonl"],
      ("numpy", "orjson", *SCORING_MODULES)),
     (["nearnbr", "--index", "train.jsonl", "--queries", "q.jsonl"],
-     (*SCORING_MODULES, "hashlib", "orjson")),
+     (*SCORING_MODULES, "hashlib")),
     (["dataset", "--input", "d.csv", "--window", "64", "--target-len", "64"],
      ("numpy.ma", "hashlib", "_hashlib", "taco.synth")),
     (["annotate", "--input", "d.csv", "--window", "64", "--target-len", "64"],
@@ -1020,8 +1045,8 @@ def test_commands_load_only_what_they_run(argv, absent, tmp_path):
     # only time-series classes, as annotate rows do; nearnbr loads numpy but
     # no scoring module; the spike score's median loads no numpy.ma, and the
     # config digest's SHA-256 loads neither hashlib nor OpenSSL; only a
-    # command that writes values lists loads their formatter, orjson, and
-    # only a forward build loads taco.synth
+    # command that writes values lists, or reads them as floats as nearnbr
+    # does, loads orjson, and only a forward build loads taco.synth
     write_jsonl([{"id": f"t{i}", "caption_base": f"the signal rises {i}",
                   "values": [float(i)] * 16} for i in range(5)], tmp_path / "train.jsonl")
     write_jsonl([{"id": f"t{i}", "caption_base": f"the signal falls {i}",
