@@ -247,16 +247,16 @@ def _cmd_annotate(args):
 
 
 def _cmd_caption(args):
-    if bool(args.classes) == bool(args.input):
+    if (args.classes is None) == (args.input is None):
         raise _UsageError("caption needs exactly one of --classes or --input")
-    if args.classes:
+    if args.classes is not None:
         classes = {TimeSeriesClass.from_name(n.strip())
                    for n in args.classes.split(",") if n.strip()}
         text = base_caption(classes)
         if args.rephrase:
             text = rephrase(text, endpoint=args.endpoint, model=args.model)
         return _lines(text)
-    from .records import FLOATLESS_DECODER, iter_jsonl
+    from .records import iter_jsonl
 
     class_names = {member.value for member in TimeSeriesClass}
 
@@ -273,7 +273,7 @@ def _cmd_caption(args):
     rows = ({"id": record.id,
              "caption_base": base_caption({TimeSeriesClass.from_name(n) for n in record.classes
                                            if captioned(n)})}
-            for record in iter_jsonl(args.input, FLOATLESS_DECODER))
+            for record in iter_jsonl(args.input))
     if args.rephrase:
         rows = (row | {"caption_rephrased": new} for row, new in
                 _rephrased(rows, lambda row: row["caption_base"], args, args.jobs))

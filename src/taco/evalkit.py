@@ -25,7 +25,7 @@ from operator import add
 
 from .errors import (AlignmentError, EmptyIndex, InvalidArgument, InvalidSignal, ParseError,
                      TacoError)
-from .records import FLOATLESS_DECODER, iter_jsonl
+from .records import iter_jsonl
 
 #: Metric keys reserved in reports for scores computed by external tools.
 EXTERNAL_METRIC_KEYS = ("meteor", "cider", "spice", "bertscore", "sentence_bert")
@@ -395,9 +395,9 @@ def iter_nearnbr(index: TrainIndex, path):
 
 
 def _load_caption_map(path) -> dict:
-    """Each record's effective caption by id; no float in the file is parsed."""
+    """Each record's effective caption by id, from JSONL file ``path``."""
     captions = {}
-    for record in iter_jsonl(path, FLOATLESS_DECODER):
+    for record in iter_jsonl(path):
         if record.id in captions:
             raise ParseError(f"{path}: id {record.id!r} appears more than once")
         captions[record.id] = record.caption()

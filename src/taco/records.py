@@ -1,7 +1,7 @@
 """The record format and its file I/O, on the standard library alone but for
 ``orjson``, which :func:`encode_record` imports when it first writes a list
-of floats, and :func:`iter_jsonl` when it first reads one with
-:data:`STRICT_DECODER`.
+of floats, and :func:`iter_jsonl` when it first reads a line that ends in
+one.
 
 :class:`DatasetRecord` is the one definition of a dataset line: its fields
 give the JSON keys in order, their defaults and their JSON types, and both
@@ -32,12 +32,6 @@ def _reject_constant(token: str):
 
 #: The one JSON decoder for input files; it refuses ``NaN`` and ``Infinity``.
 STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
-#: :data:`STRICT_DECODER` for readers that use no float: each float becomes
-#: the length of its token, far cheaper than parsing it.  That int fails a
-#: string field's check just as the float did; ``parse_float=str`` would let
-#: a float id pass as a string.
-FLOATLESS_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=len)
 
 
 @contextlib.contextmanager
@@ -257,12 +251,10 @@ def _split_decode(line: str) -> dict | None:
     return data
 
 
-def iter_jsonl(path, decoder=STRICT_DECODER):
+def iter_jsonl(path):
     """Yield the records of a JSONL dataset file one line at a time, each
-    line decoded by ``decoder``; a reader that uses no score and no value
-    passes :data:`FLOATLESS_DECODER`, which parses no float.  With
-    :data:`STRICT_DECODER`, each line is first tried by :func:`_split_decode`,
-    which gives the same object or none.
+    line decoded by :data:`STRICT_DECODER`; a line is first tried by
+    :func:`_split_decode`, which gives the same object or none.
 
     Malformed lines (including a truncated final line, the non-finite
     tokens ``NaN``, ``Infinity`` and ``-Infinity``, and a record field of
@@ -270,16 +262,15 @@ def iter_jsonl(path, decoder=STRICT_DECODER):
     number.  Keys that name no record field are ignored.  Only JSON's
     whitespace (space, tab, CR, LF) may pad a line.
     """
-    split = decoder is STRICT_DECODER
     with opened(path) as handle:
         for line_num, line in enumerate(handle, start=1):
             stripped = line.strip(" \t\r\n")
             if not stripped and line.endswith("\n"):
                 continue
-            data = _split_decode(stripped) if split else None
+            data = _split_decode(stripped)
             if data is None:
                 try:
-                    data = decoder.decode(stripped)
+                    data = STRICT_DECODER.decode(stripped)
                 except (ValueError, RecursionError) as exc:
                     raise ParseError(
                         f"{path}: malformed JSON at line {line_num}: {exc}",

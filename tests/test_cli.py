@@ -110,6 +110,21 @@ def test_caption_needs_exactly_one_source():
     assert main(["caption"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["--classes", "Rising", "--input", ""],
+    ["--classes", "", "--input", "a.jsonl"],
+], ids=["empty-input", "empty-classes"])
+def test_caption_counts_an_empty_source_as_given(argv):
+    # a flag is given when it is on the command line, whatever its value
+    assert main(["caption", *argv]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("classes", ["", ","])
+def test_caption_with_no_class_names_gives_the_no_salient_caption(classes, capsys):
+    assert main(["caption", "--classes", classes]) == EXIT_OK
+    assert capsys.readouterr().out == NO_SALIENT_CAPTION + "\n"
+
+
 def test_caption_rephrase_unreachable_exits_three(monkeypatch):
     monkeypatch.delenv("TACO_LLM_ENDPOINT", raising=False)
     code = main(["caption", "--classes", "Rising", "--rephrase",
@@ -663,8 +678,11 @@ def _eval_with_id(bad_id):
 
 
 def _bad_record(**fields) -> bytes:
-    """A record line that is well formed but for ``fields``."""
-    row = {"id": "a", "caption_base": "x", "values": [0.5] * 16} | fields
+    """A record line that is well formed but for ``fields``.  Its ``values``
+    comes last, as records are written, so a list there is read apart from
+    the rest of the line."""
+    row = {"id": "a", "caption_base": "x"} | fields
+    row.setdefault("values", [0.5] * 16)
     return json.dumps(row).encode() + b"\n"
 
 
@@ -762,6 +780,8 @@ _MALFORMED = [
     _reading_bad("eval", _bad_record(source=5)),
     _reading_bad("eval", _bad_record(config_digest=7)),
     _reading_bad("eval", _bad_record(values="abc")),
+    _reading_bad("caption", _bad_record(classes=["Rising", 3])),
+    _reading_bad("caption", _bad_record(id=5)),
     _dataset_with("--config", _INFINITE_RISING),
     _reading_bad("nearnbr", _NBSP_PADDED),
     _reading_bad("nearnbr", b"\f" + _bad_record()),
@@ -786,7 +806,8 @@ _MALFORMED_IDS = ["params-k-segments-string", "params-spike-sigma-null", "config
         "config-deep-nesting", "params-long-int", "config-long-int",
         "dataset-csv-field-too-long", "eval-id-number", "eval-id-null",
         "nearnbr-index-id-list", "nearnbr-query-id-object", "eval-source-number",
-        "eval-config-digest-number", "eval-values-string", "config-cutoff-infinite",
+        "eval-config-digest-number", "eval-values-string", "caption-values-classes-number-item",
+        "caption-values-id-number", "config-cutoff-infinite",
         "nearnbr-nbsp-padded", "nearnbr-form-feed-padded", "eval-nbsp-padded",
         "eval-form-feed-padded"]
 
@@ -1029,6 +1050,8 @@ SCORING_MODULES = ("taco.signal", "taco.detectors", "taco.annotator", "taco.pipe
     (None, ("dataclasses", "orjson")),
     (["caption", "--classes", "Rising"], ("numpy", "orjson", *SCORING_MODULES)),
     (["eval", "--candidates", "q.jsonl", "--references", "train.jsonl"],
+     ("numpy", *SCORING_MODULES)),
+    (["eval", "--candidates", "c.jsonl", "--references", "r.jsonl"],
      ("numpy", "orjson", *SCORING_MODULES)),
     (["nearnbr", "--index", "train.jsonl", "--queries", "q.jsonl"],
      (*SCORING_MODULES, "hashlib")),
@@ -1037,16 +1060,16 @@ SCORING_MODULES = ("taco.signal", "taco.detectors", "taco.annotator", "taco.pipe
     (["annotate", "--input", "d.csv", "--window", "64", "--target-len", "64"],
      ("numpy.ma", "hashlib", "_hashlib", "taco.synth")),
     (["caption", "--input", "a.jsonl"], ("numpy", "orjson", *SCORING_MODULES)),
-], ids=["import-cli", "caption-classes", "eval", "nearnbr", "dataset", "annotate",
-        "caption-input"])
+], ids=["import-cli", "caption-classes", "eval", "eval-value-free", "nearnbr", "dataset",
+        "annotate", "caption-input"])
 def test_commands_load_only_what_they_run(argv, absent, tmp_path):
     # the record layer needs only the standard library, so caption --classes
     # and eval load no numpy, nor does caption --input on rows that name
     # only time-series classes, as annotate rows do; nearnbr loads numpy but
     # no scoring module; the spike score's median loads no numpy.ma, and the
     # config digest's SHA-256 loads neither hashlib nor OpenSSL; only a
-    # command that writes values lists, or reads them as floats as nearnbr
-    # does, loads orjson, and only a forward build loads taco.synth
+    # command that writes values lists, or reads a line that ends in one,
+    # loads orjson, and only a forward build loads taco.synth
     write_jsonl([{"id": f"t{i}", "caption_base": f"the signal rises {i}",
                   "values": [float(i)] * 16} for i in range(5)], tmp_path / "train.jsonl")
     write_jsonl([{"id": f"t{i}", "caption_base": f"the signal falls {i}",
@@ -1056,6 +1079,9 @@ def test_commands_load_only_what_they_run(argv, absent, tmp_path):
     write_jsonl([{"id": f"d.csv#v#{i}", "source": f"d.csv#v#{i}", "classes": ["Rising", "Step"],
                   "scores": {"slope": 0.5, "step_ratio": 0.25}, "params_digest": "0" * 16}
                  for i in range(2)], tmp_path / "a.jsonl")
+    for name, verb in (("c", "rises"), ("r", "falls")):
+        write_jsonl([{"id": f"t{i}", "caption_base": f"the signal {verb} {i}"}
+                     for i in range(5)], tmp_path / f"{name}.jsonl")
     run = "0" if argv is None else f"taco.cli.main({argv!r})"
     probe = ("import contextlib, io, sys, taco.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
